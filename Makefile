@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet lint fuzz bench smoke experiments
+.PHONY: build test race fmt vet lint fuzz bench benchmark smoke experiments
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,13 @@ fuzz:
 # server-side composition stops paying for itself.
 bench:
 	$(GO) run ./cmd/funcx-perf -out BENCH_10.json -wal-floor 0.5 -trace-floor 0.85 -otlp-floor 0.85 -dag-floor 1.5
+
+# benchmark runs the repository benchmark (benchmark/README.md): all
+# five workloads through real SDK clients, every result's bytes
+# compared, nonzero exit on a failed task or a broken trace invariant.
+# BENCHMARK.json names the metrics and their bounds.
+benchmark:
+	$(GO) run ./benchmark -check
 
 # smoke runs the durability experiment (WAL crash recovery + shard
 # drain) and the dag workflow experiment (server-side composition,

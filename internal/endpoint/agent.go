@@ -209,7 +209,7 @@ func (a *Agent) Start(ctx context.Context) error {
 		return fmt.Errorf("endpoint %s: %w", a.cfg.ID, err)
 	}
 	a.ln = ln
-	if err := a.connect(); err != nil {
+	if err := a.connect(nil); err != nil {
 		ln.Close()
 		return err
 	}
@@ -220,8 +220,11 @@ func (a *Agent) Start(ctx context.Context) error {
 	return nil
 }
 
-// connect dials the forwarder and registers (also used on reconnect).
-func (a *Agent) connect() error {
+// connect dials the forwarder and registers. The new link replaces
+// old, the upstream the caller saw; if the upstream changed while
+// dialing (a Disconnect, or another connect won) the new link is
+// dropped and that later decision stands.
+func (a *Agent) connect(old transport.Conn) error {
 	conn, err := transport.Dial(a.cfg.ServiceNetwork, a.cfg.ServiceAddr, string(a.cfg.ID))
 	if err != nil {
 		return fmt.Errorf("endpoint %s: dial forwarder: %w", a.cfg.ID, err)
@@ -241,6 +244,13 @@ func (a *Agent) connect() error {
 		return fmt.Errorf("endpoint %s: registration rejected: %w", a.cfg.ID, err)
 	}
 	a.mu.Lock()
+	// Stop cancels before it collects the upstream to close: a link
+	// installed after that would never be closed.
+	if a.upstream != old || a.ctx.Err() != nil {
+		a.mu.Unlock()
+		conn.Close()
+		return nil
+	}
 	a.upstream = conn
 	a.connected = true
 	a.mu.Unlock()
@@ -275,7 +285,8 @@ func (a *Agent) Stop() {
 }
 
 // Disconnect severs the forwarder connection without stopping managers
-// — the failure injected in the Figure 8 experiment.
+// — the failure injected in the Figure 8 experiment. The agent stays
+// down until Reconnect.
 func (a *Agent) Disconnect() {
 	a.mu.Lock()
 	up := a.upstream
@@ -292,12 +303,12 @@ func (a *Agent) Disconnect() {
 // agent recovers, it repeats the registration process").
 func (a *Agent) Reconnect() error {
 	a.mu.Lock()
-	if a.connected {
-		a.mu.Unlock()
+	connected, old := a.connected, a.upstream
+	a.mu.Unlock()
+	if connected {
 		return nil
 	}
-	a.mu.Unlock()
-	return a.connect()
+	return a.connect(old)
 }
 
 // Connected reports whether the upstream link is up.
@@ -393,11 +404,20 @@ func (a *Agent) upstreamLoop(conn transport.Conn) {
 	for {
 		msg, err := conn.Recv(0)
 		if err != nil {
+			// Disconnect clears a.upstream before it closes the link
+			// and Stop cancels the context first, so a link that fails
+			// while still current was dropped by the other side (the
+			// forwarder's heartbeat timeout, a service restart): the
+			// agent repeats the registration (§4.3).
 			a.mu.Lock()
-			if a.upstream == conn {
+			lost := a.upstream == conn
+			if lost {
 				a.connected = false
 			}
 			a.mu.Unlock()
+			if lost {
+				a.redial(conn)
+			}
 			return
 		}
 		// Frames the agent consumes from the service's forwarder;
@@ -446,6 +466,33 @@ func (a *Agent) upstreamLoop(conn transport.Conn) {
 			go a.Stop()
 			return
 		}
+	}
+}
+
+// redial re-attaches after the forwarder dropped lost, backing off
+// from a quarter to eight heartbeat periods between attempts, until it
+// succeeds, the agent stops, or the upstream is no longer lost — a
+// Disconnect or a Reconnect decided otherwise.
+func (a *Agent) redial(lost transport.Conn) {
+	backoff := a.cfg.HeartbeatPeriod / 4
+	for {
+		a.mu.Lock()
+		current := a.upstream == lost
+		a.mu.Unlock()
+		if !current || a.ctx.Err() != nil {
+			return
+		}
+		err := a.connect(lost)
+		if err == nil {
+			return
+		}
+		a.log.Warn("re-attaching to forwarder failed", "error", err, "retry_in", backoff)
+		select {
+		case <-a.ctx.Done():
+			return
+		case <-time.After(backoff):
+		}
+		backoff = min(2*backoff, 8*a.cfg.HeartbeatPeriod)
 	}
 }
 

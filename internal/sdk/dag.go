@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"time"
 
 	"funcx/internal/api"
 	"funcx/internal/types"
@@ -57,7 +58,7 @@ func (h *DAGHandle) Future(key string) *Future {
 		return f
 	}
 	f := newFuture(h.c, id)
-	st.register(f)
+	st.register(f, time.Time{}) // attached after the graph was submitted
 	h.futures[key] = f
 	return f
 }

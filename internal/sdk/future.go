@@ -2,13 +2,13 @@ package sdk
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"iter"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -95,6 +95,7 @@ func (c *Client) SubmitFuture(ctx context.Context, spec SubmitSpec) (*Future, er
 	if _, err := c.ensureStreamer(""); err != nil {
 		return nil, err
 	}
+	began := time.Now()
 	resp, err := c.submit(ctx, spec)
 	if err != nil {
 		return nil, err
@@ -104,7 +105,7 @@ func (c *Client) SubmitFuture(ctx context.Context, spec SubmitSpec) (*Future, er
 		return nil, err
 	}
 	f := newFuture(c, resp.TaskID)
-	st.register(f)
+	st.register(f, began)
 	return f, nil
 }
 
@@ -132,7 +133,7 @@ func (c *Client) FutureOf(id types.TaskID) (*Future, error) {
 		return nil, err
 	}
 	f := newFuture(c, id)
-	st.register(f)
+	st.register(f, time.Time{})
 	return f, nil
 }
 
@@ -211,9 +212,16 @@ type streamer struct {
 	mu      sync.Mutex
 	futures map[types.TaskID]*Future
 	// verify accumulates ids needing a batched completion check:
-	// freshly registered futures (their terminal event may predate
-	// the subscription) and everything pending after a replay gap.
+	// futures registered for a task the stream is not known to cover
+	// (see coveredSince) and everything pending after a replay gap.
 	verify map[types.TaskID]bool
+	// coveredSince is the instant from which the live subscription is
+	// known to carry every terminal event with its result inline: set
+	// when GET /v1/events answers 200, moved forward by anything that
+	// breaks the promise (a replayed event without its result, a
+	// gap), zero while no subscription is live. A task submitted after
+	// it resolves from the stream or the stash and needs no verify.
+	coveredSince time.Time
 	// kick wakes the verifier; fbKick wakes the fallback engine. They
 	// are separate single-token channels because both loops run
 	// concurrently in fallback mode — a shared channel would let one
@@ -309,7 +317,10 @@ func (st *streamer) stop() {
 	st.failAll(ErrClosed)
 }
 
-func (st *streamer) register(f *Future) {
+// register tracks f until its terminal result arrives. began is when
+// the call that submitted the task started; the zero time for a task
+// submitted some other way.
+func (st *streamer) register(f *Future, began time.Time) {
 	st.mu.Lock()
 	if st.stopped {
 		st.mu.Unlock()
@@ -324,13 +335,29 @@ func (st *streamer) register(f *Future) {
 		f.resolve(res, nil)
 		return
 	}
-	// Every registration is verified with a batched non-blocking
-	// wait: if the task completed before this point (even before the
-	// subscription existed), the verifier resolves it.
 	st.futures[f.id] = f
-	st.verify[f.id] = true
+	// Unless the subscription already covered the whole life of the
+	// task, it may have completed unseen (even before the subscription
+	// existed): the verifier's batched non-blocking wait resolves it.
+	covered := !st.coveredSince.IsZero() && st.coveredSince.Before(began)
+	if !covered {
+		st.verify[f.id] = true
+	}
 	st.mu.Unlock()
-	st.wake()
+	if !covered {
+		st.wake()
+	}
+}
+
+// setCovered records that the subscription covers terminal events
+// from now on (live), or that there is none.
+func (st *streamer) setCovered(live bool) {
+	st.mu.Lock()
+	st.coveredSince = time.Time{}
+	if live {
+		st.coveredSince = time.Now()
+	}
+	st.mu.Unlock()
 }
 
 func (st *streamer) wake() {
@@ -519,19 +546,25 @@ func (st *streamer) streamOnce(lastSeq *uint64) error {
 
 	// Subscribed. Futures registered before this point may have
 	// completed before the subscription existed: reconcile them.
+	st.setCovered(true)
+	defer st.setCovered(false)
 	st.enqueueVerifyAll()
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), 8<<20)
 	var event string
+	// data is reused from event to event: a scanned line is valid only
+	// until the next Scan, so it is copied here once, and DecodeEvent
+	// keeps nothing of its input.
 	var data []byte
 	var id uint64
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "":
+		case len(line) == 0:
 			if event == "gap" {
 				*lastSeq = 0
+				st.setCovered(true)
 				st.enqueueVerifyAll()
 			} else if len(data) > 0 {
 				if ev, err := wire.DecodeEvent(data); err == nil {
@@ -543,18 +576,18 @@ func (st *streamer) streamOnce(lastSeq *uint64) error {
 					st.handleEvent(ev)
 				}
 			}
-			event, data, id = "", nil, 0
-		case strings.HasPrefix(line, ":"):
+			event, data, id = "", data[:0], 0
+		case line[0] == ':':
 			// Heartbeat comment.
-		case strings.HasPrefix(line, "id:"):
-			id, _ = strconv.ParseUint(strings.TrimSpace(line[3:]), 10, 64)
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(line[6:])
-		case strings.HasPrefix(line, "data:"):
+		case bytes.HasPrefix(line, []byte("id:")):
+			id, _ = strconv.ParseUint(string(bytes.TrimSpace(line[3:])), 10, 64)
+		case bytes.HasPrefix(line, []byte("event:")):
+			event = string(bytes.TrimSpace(line[6:]))
+		case bytes.HasPrefix(line, []byte("data:")):
 			if len(data) > 0 {
 				data = append(data, '\n')
 			}
-			data = append(data, strings.TrimPrefix(line[5:], " ")...)
+			data = append(data, bytes.TrimPrefix(line[5:], []byte(" "))...)
 		}
 	}
 	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
@@ -573,19 +606,23 @@ func (st *streamer) handleEvent(ev *types.TaskEvent) {
 	if !ev.Terminal() {
 		return
 	}
-	r, err := wire.DecodeResult(ev.Result)
-	if len(ev.Result) == 0 || err != nil {
-		// A replayed terminal event: the replay ring trims inline
-		// result bytes, so fetch the result via batched wait instead.
-		st.mu.Lock()
-		if _, pending := st.futures[ev.TaskID]; pending {
-			st.verify[ev.TaskID] = true
+	if len(ev.Result) > 0 {
+		if r, err := wire.DecodeResult(ev.Result); err == nil {
+			st.resolveOrStash(ev.TaskID, resultFromWire(r))
+			return
 		}
-		st.mu.Unlock()
-		st.wake()
-		return
 	}
-	st.resolveOrStash(ev.TaskID, resultFromWire(r))
+	// A replayed terminal event: the replay ring trims inline result
+	// bytes, so fetch the result via batched wait instead. A submit
+	// call still in flight may be this task's: the stream no longer
+	// covers it.
+	st.mu.Lock()
+	st.coveredSince = time.Now()
+	if _, pending := st.futures[ev.TaskID]; pending {
+		st.verify[ev.TaskID] = true
+	}
+	st.mu.Unlock()
+	st.wake()
 }
 
 // resultFromWire converts a wire result into the SDK shape, mapping

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,5 +277,99 @@ func TestMapFutureGathersPackedBatches(t *testing.T) {
 	}
 	if len(outs) != 5 || string(outs[0]) != "out-0-0" || string(outs[4]) != "out-2-0" {
 		t.Fatalf("outs = %q", outs)
+	}
+}
+
+// waitCounter serves svc and counts POST /v1/tasks/wait requests.
+func waitCounter(t *testing.T, svc *service.Service) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var waits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/tasks/wait" {
+			waits.Add(1)
+		}
+		svc.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &waits
+}
+
+// A task submitted under a subscription that was already live needs no
+// registration-time wait request: the stream (or the stash) delivers
+// its result. A future attached by id still gets one, as does
+// everything pending when a subscription begins.
+func TestSubmitFutureUnderLiveStreamSkipsVerify(t *testing.T) {
+	c0, svc := testClient(t)
+	srv, waits := waitCounter(t, svc)
+	c := New(srv.URL, c0.token)
+	c.WaitHint = time.Minute // keep the periodic sweep out of the count
+	t.Cleanup(c.Close)
+	fnID, epID := fixture(t, c)
+	ctx := getCtx(t)
+
+	// The first future starts the consumer; its subscription is fresh,
+	// so it is verified.
+	first, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.ensureStreamer("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st.mu.Lock()
+		live, verifying := !st.coveredSince.IsZero(), len(st.verify) > 0
+		st.mu.Unlock()
+		if live && !verifying && waits.Load() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("subscription never went live")
+		}
+	}
+	time.Sleep(10 * time.Millisecond) // past the verifier's debounce
+	before := waits.Load()
+
+	for i := range 8 {
+		f, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		complete(svc, f.TaskID(), float64(i))
+		res, err := f.Get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := res.Value(nil); err != nil || v.(float64) != float64(i) {
+			t.Fatalf("task %d: value = %v, %v", i, v, err)
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
+	if got := waits.Load(); got != before {
+		t.Fatalf("%d wait requests for 8 futures submitted under a live stream, want 0", got-before)
+	}
+
+	// Attached by id: the task may have finished long ago, so the
+	// consumer asks.
+	id, _, err := c.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.FutureOf(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); waits.Load() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("FutureOf issued no wait request")
+		}
+	}
+	complete(svc, id, "attached")
+	complete(svc, first.TaskID(), "first")
+	for _, f := range []*Future{f, first} {
+		if _, err := f.Get(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

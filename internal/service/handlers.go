@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -161,9 +163,43 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, api.ErrorResponse{Error: err.Error()})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
+// bodySlack is the room a request body gets beyond its payloads: JSON
+// member names, ids, selectors, a function body, or the maxWaitBatch
+// task ids of one wait request.
+const bodySlack = 1 << 20
+
+// decodeBody reads a JSON request body into v. The body is bounded by
+// what the request may legitimately carry — tasks payloads of
+// Config.MaxPayloadSize each, base64-expanded, plus bodySlack — read
+// into a buffer sized from Content-Length (trusted for no more than
+// one task's worth), and parsed once; anything after the JSON value is
+// an error.
+func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any, tasks int) bool {
+	body := r.Body
+	perTask := int64(base64.StdEncoding.EncodedLen(max(s.cfg.MaxPayloadSize, 0)) + bodySlack)
+	if s.cfg.MaxPayloadSize >= 0 {
+		limit := int64(tasks) * perTask
+		if r.ContentLength > limit {
+			writeError(w, fmt.Errorf("%w: request body of %d bytes exceeds %d", ErrPayloadTooLarge, r.ContentLength, limit))
+			return false
+		}
+		body = http.MaxBytesReader(w, body, limit)
+	}
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		// MinRead spare bytes let ReadFrom see EOF without growing.
+		buf.Grow(int(min(r.ContentLength, perTask)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(body); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, fmt.Errorf("%w: request body exceeds %d bytes", ErrPayloadTooLarge, tooLarge.Limit))
+		} else {
+			writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "reading request: " + err.Error()})
+		}
+		return false
+	}
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "malformed request: " + err.Error()})
 		return false
 	}
@@ -182,7 +218,7 @@ func claimsOf(r *http.Request) *auth.Claims {
 // stored verbatim instead of minting anew).
 func (s *Service) handleRegisterFunction(w http.ResponseWriter, r *http.Request) {
 	var req api.RegisterFunctionRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	if req.FunctionID != "" {
@@ -234,7 +270,7 @@ func (s *Service) handleFunctionReplica(w http.ResponseWriter, r *http.Request, 
 
 func (s *Service) handleUpdateFunction(w http.ResponseWriter, r *http.Request) {
 	var req api.UpdateFunctionRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	id := types.FunctionID(r.PathValue("id"))
@@ -255,7 +291,7 @@ func (s *Service) handleUpdateFunction(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleShareFunction(w http.ResponseWriter, r *http.Request) {
 	var req api.ShareFunctionRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	id := types.FunctionID(r.PathValue("id"))
@@ -272,7 +308,7 @@ func (s *Service) handleShareFunction(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleRegisterEndpoint(w http.ResponseWriter, r *http.Request) {
 	var req api.RegisterEndpointRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	ep, network, addr, token, err := s.RegisterEndpoint(claimsOf(r).Subject, req.Name, req.Description, req.Public, req.Labels)
@@ -337,7 +373,7 @@ func submissionOf(t api.SubmitRequest) Submission {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.SubmitRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	// Cross-shard: the task belongs wherever its group or endpoint
@@ -377,7 +413,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // there so any front door can route GET /v1/dags/{id} from the id.
 func (s *Service) handleSubmitDAG(w http.ResponseWriter, r *http.Request) {
 	var req api.SubmitDAGRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, maxWaitBatch) {
 		return
 	}
 	if len(req.Nodes) == 0 {
@@ -434,7 +470,7 @@ func (s *Service) handleDAGStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchSubmitRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, maxWaitBatch) {
 		return
 	}
 	// Cross-shard: sub-batches scatter to their owner shards and the
@@ -465,7 +501,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleCreateGroup(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateGroupRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	// Cross-shard: a group lives where its member endpoints live, so
@@ -510,7 +546,7 @@ func (s *Service) handleGroupStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleAddGroupMembers(w http.ResponseWriter, r *http.Request) {
 	var req api.AddGroupMembersRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	id := types.GroupID(r.PathValue("id"))
@@ -558,7 +594,9 @@ func (s *Service) handleTaskTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxWait caps how long the server holds a blocking retrieval open;
-// maxWaitBatch caps the id count of one POST /v1/tasks/wait request.
+// maxWaitBatch caps the id count of one POST /v1/tasks/wait request,
+// and with it the tasks one batch or DAG submission is sized for: the
+// ids of one submission are waited on in one request.
 const (
 	maxWait      = 5 * time.Minute
 	maxWaitBatch = 10000
@@ -622,7 +660,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 // request supersedes N parallel long-polls.
 func (s *Service) handleWaitTasks(w http.ResponseWriter, r *http.Request) {
 	var req api.WaitTasksRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	if len(req.TaskIDs) == 0 {
@@ -702,8 +740,14 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	write := func(ev types.TaskEvent) bool {
-		if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.Seq, wire.EncodeEvent(&ev)); err != nil {
-			return false
+		// Written in pieces: formatting the frame into one buffer
+		// would copy an inline result once more.
+		var line [32]byte
+		id := append(strconv.AppendUint(append(line[:0], "id: "...), ev.Seq, 10), "\ndata: "...)
+		for _, piece := range [...][]byte{id, wire.EncodeEvent(&ev), []byte("\n\n")} {
+			if _, err := w.Write(piece); err != nil {
+				return false
+			}
 		}
 		fl.Flush()
 		lastSeq = ev.Seq

@@ -14,6 +14,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -88,6 +89,26 @@ func recoverKind[T any](s *Service, kind string, put func(*T) error) error {
 // endpoint. Runs after the registry is recovered and before any
 // background goroutine starts.
 func (s *Service) recoverRuntime() error {
+	// A data dir written before the binary frame codec holds JSON task
+	// and result records that no longer decode. Every sweep below would
+	// treat them as corrupt and drop or lose the tasks one by one;
+	// refuse to start instead.
+	for _, rec := range []struct {
+		hash   string
+		decode func([]byte) error
+	}{
+		{tasksHash, func(b []byte) error { _, err := wire.DecodeTask(b); return err }},
+		{resultsHash, func(b []byte) error { _, err := wire.DecodeResult(b); return err }},
+	} {
+		h := s.Store.Hash(rec.hash)
+		for _, id := range h.Keys() {
+			if b, ok := h.Get(id); ok && errors.Is(rec.decode(b), wire.ErrLegacyJSON) {
+				return fmt.Errorf("service: data dir %s is not readable by this build: %s record %s: %w",
+					s.cfg.DataDir, rec.hash, id, wire.ErrLegacyJSON)
+			}
+		}
+	}
+
 	// Dependency graphs first: recoverDAGs rebuilds the graph tables
 	// from the journal and reports the node ids the generic sweeps
 	// below must leave alone — held nodes have owner/status records but

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"funcx/internal/api"
 	"funcx/internal/auth"
+	"funcx/internal/wire"
 )
 
 // TestReattachAfterRecovery drives the operator story the reattach
@@ -77,5 +79,27 @@ func TestReattachAfterRecovery(t *testing.T) {
 	if code := doJSON(t, srv2, alice2, http.MethodPost,
 		"/v1/endpoints/nope/reattach", struct{}{}, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown endpoint reattach = %d, want 404", code)
+	}
+}
+
+// A data dir holding task records in the JSON encoding that binary
+// frames replaced must stop the boot, not recover with every such task
+// dropped as corrupt.
+func TestRecoveryRefusesLegacyJSONRecords(t *testing.T) {
+	cfg := Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: t.TempDir()}
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	svc.Store.Hash(tasksHash).Set("t1", []byte(`{"task_id":"t1","function_id":"f","endpoint_id":"e","payload":"AAEC"}`))
+	svc.Close()
+
+	svc, err = Open(cfg)
+	if err == nil {
+		svc.Close()
+		t.Fatal("reopen over a legacy JSON task record succeeded")
+	}
+	if !errors.Is(err, wire.ErrLegacyJSON) {
+		t.Fatalf("reopen error = %v, want one wrapping wire.ErrLegacyJSON", err)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -364,6 +365,53 @@ func TestPayloadSizeLimit(t *testing.T) {
 		api.SubmitRequest{FunctionID: fnID, EndpointID: epID, Payload: big}, nil)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize payload = %d, want 413 (stage large data out of band, §4.6)", code)
+	}
+}
+
+// A request body is bounded before it is parsed: past the payload cap's
+// base64 expansion plus the envelope slack it is refused with 413,
+// whether Content-Length admits it up front or a chunked body only
+// turns out too long while being read; bytes after the JSON value are
+// a malformed request.
+func TestRequestBodyBoundedAndParsedOnce(t *testing.T) {
+	svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, MaxPayloadSize: 64})
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	token := svc.MintUserToken("alice", auth.ScopeAll)
+	fnID, epID := registerFixture(t, srv, token)
+
+	post := func(body io.Reader) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/tasks", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+token)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	valid, err := json.Marshal(api.SubmitRequest{FunctionID: fnID, EndpointID: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leading whitespace is valid JSON: only the size is wrong.
+	huge := append(bytes.Repeat([]byte(" "), bodySlack+128), valid...)
+	if code := post(bytes.NewReader(huge)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body with Content-Length = %d, want 413", code)
+	}
+	if code := post(io.MultiReader(bytes.NewReader(huge))); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize chunked body = %d, want 413", code)
+	}
+	if code := post(bytes.NewReader(append(valid[:len(valid):len(valid)], " {}"...))); code != http.StatusBadRequest {
+		t.Fatalf("trailing garbage = %d, want 400", code)
+	}
+	if code := post(io.MultiReader(bytes.NewReader(valid))); code != http.StatusAccepted {
+		t.Fatalf("chunked valid body = %d, want 202", code)
 	}
 }
 

@@ -1,0 +1,535 @@
+package wire
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"slices"
+	"time"
+
+	"funcx/internal/types"
+)
+
+// Binary frames for the three per-task records (see the package
+// comment for the layout). The encoders emit fields in tag order and
+// omit zero values, so a record has exactly one encoding and
+// Encode(Decode(b)) is a fixed point for any b a decoder accepts.
+
+// Format bytes. None is '{' or '[': a record written by the JSON codec
+// this one replaced is recognised by its first byte and rejected with
+// ErrLegacyJSON.
+const (
+	formatTask   byte = 0x01
+	formatTasks  byte = 0x02
+	formatResult byte = 0x03
+)
+
+// ErrLegacyJSON is returned (wrapped) by DecodeTask, DecodeTasks and
+// DecodeResult for a record in the JSON encoding used before binary
+// frames. There is no fallback decoder: a data dir holding such
+// records was written by an older build and is not readable.
+var ErrLegacyJSON = errors.New("legacy JSON record (written before binary frames)")
+
+// errFrame is the cause of every malformed-frame error.
+var errFrame = errors.New("malformed frame")
+
+// taskTag names one header field of a task frame.
+type taskTag byte
+
+const (
+	tagTaskID taskTag = iota + 1
+	tagTaskFunction
+	tagTaskEndpoint
+	tagTaskOwner
+	tagTaskContainerTech
+	tagTaskContainerImage
+	tagTaskGroup
+	tagTaskSelector // repeated, sorted by key: uvarint key length | key | value
+	tagTaskBodyHash
+	tagTaskFlags // taskMemoize | taskAtMostOnce
+	tagTaskBatchN
+	tagTaskAttempt
+	tagTaskWalltime
+	tagTaskMaxRetries
+	tagTaskSubmitted
+	tagTaskTrace // present iff Trace != nil: sampled byte | trace id
+)
+
+const (
+	taskMemoize byte = 1 << iota
+	taskAtMostOnce
+)
+
+// resultTag names one header field of a result frame.
+type resultTag byte
+
+const (
+	tagResultTaskID resultTag = iota + 1
+	tagResultErr
+	tagResultCompleted
+	tagResultTiming // varints TS, TF, TE, TW
+	tagResultWorker
+	tagResultFlags // resultMemoized | resultLost
+	tagResultTrace // present iff Trace != nil: varints Exec, ManagerQueue, AgentQueue
+)
+
+const (
+	resultMemoized byte = 1 << iota
+	resultLost
+)
+
+// --- encoding ---
+
+// frameOverhead is the bytes of a frame that are neither header nor
+// body: the format byte and the two lengths.
+const frameOverhead = 1 + 4 + 4
+
+// appendFrame appends one frame: format, header and body, each of the
+// last two behind its length.
+func appendFrame(b []byte, format byte, header, body []byte) []byte {
+	b = binary.BigEndian.AppendUint32(append(b, format), uint32(len(header)))
+	b = binary.BigEndian.AppendUint32(append(b, header...), uint32(len(body)))
+	return append(b, body...)
+}
+
+// frame returns one frame in an allocation of exactly its size: the
+// store keeps these for the life of the task.
+func frame(format byte, header, body []byte) []byte {
+	return appendFrame(make([]byte, 0, frameOverhead+len(header)+len(body)), format, header, body)
+}
+
+func appendField(b []byte, tag byte, n int) []byte {
+	return binary.AppendUvarint(append(b, tag), uint64(n))
+}
+
+func appendString(b []byte, tag byte, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return append(appendField(b, tag, len(s)), s...)
+}
+
+// appendInts writes one field holding vs as consecutive varints.
+func appendInts(b []byte, tag byte, vs ...int64) []byte {
+	var tmp [4 * binary.MaxVarintLen64]byte
+	v := tmp[:0]
+	for _, x := range vs {
+		v = binary.AppendVarint(v, x)
+	}
+	return append(appendField(b, tag, len(v)), v...)
+}
+
+func appendInt(b []byte, tag byte, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendInts(b, tag, v)
+}
+
+func appendFlags(b []byte, tag, flags byte) []byte {
+	if flags == 0 {
+		return b
+	}
+	return append(b, tag, 1, flags)
+}
+
+// appendTime writes a non-zero time as seconds and nanoseconds since
+// the Unix epoch; the location is not carried (decoders return UTC).
+func appendTime(b []byte, tag byte, t time.Time) []byte {
+	if t.IsZero() {
+		return b
+	}
+	b = append(b, tag, 12)
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Unix()))
+	return binary.BigEndian.AppendUint32(b, uint32(t.Nanosecond()))
+}
+
+// headerRoom is the stack space a header is built in before its frame
+// is allocated; a longer header (a long error, many selectors) spills
+// to the heap.
+const headerRoom = 320
+
+func appendTaskHeader(b []byte, t *types.Task) []byte {
+	b = appendString(b, byte(tagTaskID), string(t.ID))
+	b = appendString(b, byte(tagTaskFunction), string(t.FunctionID))
+	b = appendString(b, byte(tagTaskEndpoint), string(t.EndpointID))
+	b = appendString(b, byte(tagTaskOwner), string(t.Owner))
+	b = appendString(b, byte(tagTaskContainerTech), string(t.Container.Tech))
+	b = appendString(b, byte(tagTaskContainerImage), t.Container.Image)
+	b = appendString(b, byte(tagTaskGroup), string(t.GroupID))
+	if len(t.Selector) > 0 {
+		keys := make([]string, 0, len(t.Selector))
+		for k := range t.Selector {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			v := t.Selector[k]
+			kl := binary.AppendUvarint(nil, uint64(len(k)))
+			b = appendField(b, byte(tagTaskSelector), len(kl)+len(k)+len(v))
+			b = append(append(append(b, kl...), k...), v...)
+		}
+	}
+	b = appendString(b, byte(tagTaskBodyHash), t.BodyHash)
+	var flags byte
+	if t.Memoize {
+		flags |= taskMemoize
+	}
+	if t.AtMostOnce {
+		flags |= taskAtMostOnce
+	}
+	b = appendFlags(b, byte(tagTaskFlags), flags)
+	b = appendInt(b, byte(tagTaskBatchN), int64(t.BatchN))
+	b = appendInt(b, byte(tagTaskAttempt), int64(t.Attempt))
+	b = appendInt(b, byte(tagTaskWalltime), int64(t.Walltime))
+	b = appendInt(b, byte(tagTaskMaxRetries), int64(t.MaxRetries))
+	b = appendTime(b, byte(tagTaskSubmitted), t.Submitted)
+	if t.Trace != nil {
+		b = appendField(b, byte(tagTaskTrace), 1+len(t.Trace.TraceID))
+		var sampled byte
+		if t.Trace.Sampled {
+			sampled = 1
+		}
+		b = append(append(b, sampled), t.Trace.TraceID...)
+	}
+	return b
+}
+
+// EncodeTask frames a task for the store, the WAL and transport.
+func EncodeTask(t *types.Task) []byte {
+	var scratch [headerRoom]byte
+	return frame(formatTask, appendTaskHeader(scratch[:0], t), t.Payload)
+}
+
+// EncodeTasks frames a batch of tasks (executor-side batching): the
+// count, then each task's frame behind its length.
+func EncodeTasks(ts []*types.Task) []byte {
+	size := 1 + binary.MaxVarintLen64
+	for _, t := range ts {
+		size += 4 + frameOverhead + headerRoom + len(t.Payload)
+	}
+	b := append(make([]byte, 0, size), formatTasks)
+	b = binary.AppendUvarint(b, uint64(len(ts)))
+	var scratch [headerRoom]byte
+	for _, t := range ts {
+		header := appendTaskHeader(scratch[:0], t)
+		b = binary.BigEndian.AppendUint32(b, uint32(frameOverhead+len(header)+len(t.Payload)))
+		b = appendFrame(b, formatTask, header, t.Payload)
+	}
+	return b
+}
+
+// EncodeResult frames a result for transport and the store.
+func EncodeResult(r *types.Result) []byte {
+	var scratch [headerRoom]byte
+	b := appendString(scratch[:0], byte(tagResultTaskID), string(r.TaskID))
+	b = appendString(b, byte(tagResultErr), r.Err)
+	b = appendTime(b, byte(tagResultCompleted), r.Completed)
+	if r.Timing != (types.Timing{}) {
+		b = appendInts(b, byte(tagResultTiming), int64(r.Timing.TS), int64(r.Timing.TF), int64(r.Timing.TE), int64(r.Timing.TW))
+	}
+	b = appendString(b, byte(tagResultWorker), string(r.WorkerID))
+	var flags byte
+	if r.Memoized {
+		flags |= resultMemoized
+	}
+	if r.Lost {
+		flags |= resultLost
+	}
+	b = appendFlags(b, byte(tagResultFlags), flags)
+	if r.Trace != nil {
+		b = appendInts(b, byte(tagResultTrace), int64(r.Trace.Exec), int64(r.Trace.ManagerQueue), int64(r.Trace.AgentQueue))
+	}
+	return frame(formatResult, b, r.Output)
+}
+
+// --- decoding ---
+
+// checkFormat checks a frame's first byte, naming the JSON encoding
+// when that is what it finds.
+func checkFormat(data []byte, format byte) error {
+	switch {
+	case len(data) == 0:
+		return fmt.Errorf("%w: empty", errFrame)
+	case data[0] == '{' || data[0] == '[':
+		return ErrLegacyJSON
+	case data[0] != format:
+		return fmt.Errorf("%w: format byte %#x, want %#x", errFrame, data[0], format)
+	}
+	return nil
+}
+
+// openFrame checks the format byte and splits a frame into its header
+// and body. Both alias data; nothing is allocated, whatever lengths
+// the frame claims.
+func openFrame(data []byte, format byte) (header, body []byte, err error) {
+	if err := checkFormat(data, format); err != nil {
+		return nil, nil, err
+	}
+	rest := data[1:]
+	if len(rest) < 4 {
+		return nil, nil, fmt.Errorf("%w: truncated header length", errFrame)
+	}
+	hl := binary.BigEndian.Uint32(rest)
+	rest = rest[4:]
+	if uint64(hl) > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("%w: header length %d exceeds the %d bytes left", errFrame, hl, len(rest))
+	}
+	header, rest = rest[:hl], rest[hl:]
+	if len(rest) < 4 {
+		return nil, nil, fmt.Errorf("%w: truncated body length", errFrame)
+	}
+	bl := binary.BigEndian.Uint32(rest)
+	rest = rest[4:]
+	if uint64(bl) != uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("%w: body length %d, %d bytes left", errFrame, bl, len(rest))
+	}
+	if bl == 0 {
+		return header, nil, nil
+	}
+	return header, rest, nil
+}
+
+// nextField returns the tag of the header field at off and the bounds
+// of its value; the next field starts at hi.
+func nextField(header []byte, off int) (tag byte, lo, hi int, err error) {
+	tag = header[off]
+	n, w := binary.Uvarint(header[off+1:])
+	if w <= 0 {
+		return 0, 0, 0, fmt.Errorf("%w: field %d: bad length", errFrame, tag)
+	}
+	lo = off + 1 + w
+	if n > uint64(len(header)-lo) {
+		return 0, 0, 0, fmt.Errorf("%w: field %d: length %d exceeds the %d header bytes left", errFrame, tag, n, len(header)-lo)
+	}
+	return tag, lo, lo + int(n), nil
+}
+
+// ints reads exactly len(dst) varints filling v.
+func ints(tag byte, v []byte, dst ...*int64) error {
+	for _, d := range dst {
+		x, w := binary.Varint(v)
+		if w <= 0 {
+			return fmt.Errorf("%w: field %d: bad varint", errFrame, tag)
+		}
+		*d, v = x, v[w:]
+	}
+	if len(v) != 0 {
+		return fmt.Errorf("%w: field %d: %d trailing bytes", errFrame, tag, len(v))
+	}
+	return nil
+}
+
+func flagsOf(tag byte, v []byte, known byte) (byte, error) {
+	if len(v) != 1 || v[0]&^known != 0 {
+		return 0, fmt.Errorf("%w: field %d: bad flags % x", errFrame, tag, v)
+	}
+	return v[0], nil
+}
+
+func timeOf(tag byte, v []byte) (time.Time, error) {
+	if len(v) != 12 {
+		return time.Time{}, fmt.Errorf("%w: field %d: time of %d bytes", errFrame, tag, len(v))
+	}
+	nsec := binary.BigEndian.Uint32(v[8:])
+	if nsec >= 1e9 {
+		return time.Time{}, fmt.Errorf("%w: field %d: %d nanoseconds", errFrame, tag, nsec)
+	}
+	return time.Unix(int64(binary.BigEndian.Uint64(v)), int64(nsec)).UTC(), nil
+}
+
+func decodeTask(data []byte) (*types.Task, error) {
+	header, body, err := openFrame(data, formatTask)
+	if err != nil {
+		return nil, err
+	}
+	t := &types.Task{Payload: body}
+	// One copy of the header backs every string field: a decode costs
+	// one allocation for all of them. A task record lives as long as
+	// its hop works on it, so a field kept longer pins little.
+	strs := string(header)
+	for off := 0; off < len(header); {
+		tag, lo, hi, err := nextField(header, off)
+		if err != nil {
+			return nil, err
+		}
+		s, v := strs[lo:hi], header[lo:hi]
+		off = hi
+		var n int64
+		//funcx:exhaustive funcx/internal/wire.taskTag
+		switch taskTag(tag) {
+		case tagTaskID:
+			t.ID = types.TaskID(s)
+		case tagTaskFunction:
+			t.FunctionID = types.FunctionID(s)
+		case tagTaskEndpoint:
+			t.EndpointID = types.EndpointID(s)
+		case tagTaskOwner:
+			t.Owner = types.UserID(s)
+		case tagTaskContainerTech:
+			t.Container.Tech = types.ContainerTech(s)
+		case tagTaskContainerImage:
+			t.Container.Image = s
+		case tagTaskGroup:
+			t.GroupID = types.GroupID(s)
+		case tagTaskSelector:
+			kl, w := binary.Uvarint(v)
+			if w <= 0 || kl > uint64(len(v)-w) {
+				return nil, fmt.Errorf("%w: field %d: bad selector key length", errFrame, tag)
+			}
+			if t.Selector == nil {
+				t.Selector = make(map[string]string)
+			}
+			t.Selector[s[w:w+int(kl)]] = s[w+int(kl):]
+		case tagTaskBodyHash:
+			t.BodyHash = s
+		case tagTaskFlags:
+			flags, err := flagsOf(tag, v, taskMemoize|taskAtMostOnce)
+			if err != nil {
+				return nil, err
+			}
+			t.Memoize, t.AtMostOnce = flags&taskMemoize != 0, flags&taskAtMostOnce != 0
+		case tagTaskBatchN:
+			err = ints(tag, v, &n)
+			t.BatchN = int(n)
+		case tagTaskAttempt:
+			err = ints(tag, v, &n)
+			t.Attempt = int(n)
+		case tagTaskWalltime:
+			err = ints(tag, v, &n)
+			t.Walltime = time.Duration(n)
+		case tagTaskMaxRetries:
+			err = ints(tag, v, &n)
+			t.MaxRetries = int(n)
+		case tagTaskSubmitted:
+			t.Submitted, err = timeOf(tag, v)
+		case tagTaskTrace:
+			if len(v) == 0 || v[0] > 1 {
+				return nil, fmt.Errorf("%w: field %d: bad trace context", errFrame, tag)
+			}
+			t.Trace = &types.TraceContext{Sampled: v[0] == 1, TraceID: s[1:]}
+		default:
+			return nil, fmt.Errorf("%w: unknown task field %d", errFrame, tag)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// DecodeTask unframes a task. The returned task's Payload aliases
+// data, which the caller must not rewrite afterwards.
+func DecodeTask(data []byte) (*types.Task, error) {
+	t, err := decodeTask(data)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding task: %w", err)
+	}
+	return t, nil
+}
+
+// DecodeTasks unframes a batch of tasks; their Payloads alias data.
+func DecodeTasks(data []byte) ([]*types.Task, error) {
+	ts, err := decodeTasks(data)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding task batch: %w", err)
+	}
+	return ts, nil
+}
+
+func decodeTasks(data []byte) ([]*types.Task, error) {
+	if err := checkFormat(data, formatTasks); err != nil {
+		return nil, err
+	}
+	count, w := binary.Uvarint(data[1:])
+	if w <= 0 {
+		return nil, fmt.Errorf("%w: bad task count", errFrame)
+	}
+	rest := data[1+w:]
+	// The smallest entry is 13 bytes (length, format, two empty
+	// lengths): a count the bytes cannot hold is rejected before it
+	// sizes anything.
+	if count > uint64(len(rest)/13) {
+		return nil, fmt.Errorf("%w: %d tasks claimed in %d bytes", errFrame, count, len(rest))
+	}
+	ts := make([]*types.Task, 0, count)
+	for range count {
+		if len(rest) < 4 {
+			return nil, fmt.Errorf("%w: truncated task length", errFrame)
+		}
+		n := binary.BigEndian.Uint32(rest)
+		rest = rest[4:]
+		if uint64(n) > uint64(len(rest)) {
+			return nil, fmt.Errorf("%w: task length %d exceeds the %d bytes left", errFrame, n, len(rest))
+		}
+		t, err := decodeTask(rest[:n])
+		if err != nil {
+			return nil, err
+		}
+		ts, rest = append(ts, t), rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last task", errFrame, len(rest))
+	}
+	return ts, nil
+}
+
+// DecodeResult unframes a result. The returned result's Output
+// aliases data, which the caller must not rewrite afterwards.
+func DecodeResult(data []byte) (*types.Result, error) {
+	r, err := decodeResult(data)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding result: %w", err)
+	}
+	return r, nil
+}
+
+func decodeResult(data []byte) (*types.Result, error) {
+	header, body, err := openFrame(data, formatResult)
+	if err != nil {
+		return nil, err
+	}
+	r := &types.Result{Output: body}
+	for off := 0; off < len(header); {
+		tag, lo, hi, err := nextField(header, off)
+		if err != nil {
+			return nil, err
+		}
+		// Each string is its own copy: the task id becomes a key of
+		// the results hash and the event ring and must not pin the
+		// rest of the header for as long as they keep it.
+		v := header[lo:hi]
+		off = hi
+		//funcx:exhaustive funcx/internal/wire.resultTag
+		switch resultTag(tag) {
+		case tagResultTaskID:
+			r.TaskID = types.TaskID(v)
+		case tagResultErr:
+			r.Err = string(v)
+		case tagResultCompleted:
+			r.Completed, err = timeOf(tag, v)
+		case tagResultTiming:
+			var ts, tf, te, tw int64
+			err = ints(tag, v, &ts, &tf, &te, &tw)
+			r.Timing = types.Timing{TS: time.Duration(ts), TF: time.Duration(tf), TE: time.Duration(te), TW: time.Duration(tw)}
+		case tagResultWorker:
+			r.WorkerID = types.WorkerID(v)
+		case tagResultFlags:
+			flags, err := flagsOf(tag, v, resultMemoized|resultLost)
+			if err != nil {
+				return nil, err
+			}
+			r.Memoized, r.Lost = flags&resultMemoized != 0, flags&resultLost != 0
+		case tagResultTrace:
+			var exec, mq, aq int64
+			err = ints(tag, v, &exec, &mq, &aq)
+			r.Trace = &types.TraceDeltas{Exec: time.Duration(exec), ManagerQueue: time.Duration(mq), AgentQueue: time.Duration(aq)}
+		default:
+			return nil, fmt.Errorf("%w: unknown result field %d", errFrame, tag)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}

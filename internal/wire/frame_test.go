@@ -1,0 +1,254 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"funcx/internal/types"
+)
+
+// fill sets every exported field reachable from v to a distinct
+// non-zero value, allocating pointers and maps on the way. A field of
+// a kind it does not know fails the test: whoever adds one teaches
+// fill, and the round trip below then fails until the codec carries
+// the field too.
+func fill(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(fmt.Sprintf("value-%d", *n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*n) * 1_000_003)
+	case reflect.Slice:
+		if v.Type().Elem().Kind() != reflect.Uint8 {
+			t.Fatalf("fill: slice of %s", v.Type().Elem())
+		}
+		v.SetBytes([]byte{0, byte(*n), '{', '"', 0xff})
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := range 3 {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(t, k, n)
+			if i < 2 { // the third key maps to an empty value
+				fill(t, e, n)
+			}
+			v.SetMapIndex(k, e)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(t, v.Elem(), n)
+	case reflect.Struct:
+		if v.Type() == reflect.TypeFor[time.Time]() {
+			v.Set(reflect.ValueOf(time.Unix(1_700_000_000+int64(*n), int64(*n)).UTC()))
+			return
+		}
+		for i := range v.NumField() {
+			if !v.Type().Field(i).IsExported() {
+				t.Fatalf("fill: unexported field %s.%s", v.Type(), v.Type().Field(i).Name)
+			}
+			fill(t, v.Field(i), n)
+		}
+	default:
+		t.Fatalf("fill: field of kind %s", v.Kind())
+	}
+}
+
+func filled[T any](t *testing.T) *T {
+	t.Helper()
+	var x T
+	n := 0
+	fill(t, reflect.ValueOf(&x).Elem(), &n)
+	return &x
+}
+
+func roundTripTask(t *testing.T, in *types.Task) {
+	t.Helper()
+	out, err := DecodeTask(EncodeTask(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("task round trip:\n got %+v\nwant %+v", out, in)
+	}
+}
+
+func roundTripResult(t *testing.T, in *types.Result) {
+	t.Helper()
+	out, err := DecodeResult(EncodeResult(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("result round trip:\n got %+v\nwant %+v", out, in)
+	}
+}
+
+// Every exported field of types.Task and types.Result, nested structs
+// included, survives a round trip: a field added to either struct
+// without an arm in the codec fails here.
+func TestEveryFieldRoundTrips(t *testing.T) {
+	roundTripTask(t, filled[types.Task](t))
+	roundTripTask(t, &types.Task{})
+	roundTripTask(t, &types.Task{Trace: &types.TraceContext{}, BatchN: -3, Walltime: -time.Second})
+	roundTripTask(t, &types.Task{Submitted: time.Unix(-1, 999_999_999).UTC()})
+
+	roundTripResult(t, filled[types.Result](t))
+	roundTripResult(t, &types.Result{})
+	roundTripResult(t, &types.Result{Trace: &types.TraceDeltas{}, Timing: types.Timing{TW: -1}})
+
+	in := []*types.Task{filled[types.Task](t), {}, {ID: "c", Payload: []byte("x")}}
+	out, err := DecodeTasks(EncodeTasks(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("batch round trip:\n got %+v\nwant %+v", out, in)
+	}
+	if out, err := DecodeTasks(EncodeTasks(nil)); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch = %v, %v", out, err)
+	}
+}
+
+// within reports whether p's bytes lie inside buf's backing array.
+func within(p, buf []byte) bool {
+	for i := range buf {
+		if &buf[i] == &p[0] {
+			return len(p) <= len(buf)-i
+		}
+	}
+	return false
+}
+
+// Decoders hand the body out as a slice of their input.
+func TestDecodeAliasesInput(t *testing.T) {
+	body := bytes.Repeat([]byte("payload "), 1024)
+	enc := EncodeTask(&types.Task{ID: "t", Payload: body})
+	task, err := DecodeTask(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(task.Payload, body) || !within(task.Payload, enc) {
+		t.Fatal("DecodeTask copied the payload")
+	}
+	enc = EncodeTasks([]*types.Task{{ID: "a", Payload: body}, {ID: "b", Payload: body}})
+	tasks, err := DecodeTasks(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range tasks {
+		if !bytes.Equal(task.Payload, body) || !within(task.Payload, enc) {
+			t.Fatalf("DecodeTasks copied the payload of %s", task.ID)
+		}
+	}
+	enc = EncodeResult(&types.Result{TaskID: "t", Output: body})
+	res, err := DecodeResult(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Output, body) || !within(res.Output, enc) {
+		t.Fatal("DecodeResult copied the output")
+	}
+}
+
+// decoders drives the three frame decoders alike.
+var decoders = []struct {
+	name   string
+	frame  func(*testing.T) []byte
+	decode func([]byte) error
+}{
+	{"task", func(t *testing.T) []byte { return EncodeTask(filled[types.Task](t)) },
+		func(b []byte) error { _, err := DecodeTask(b); return err }},
+	{"tasks", func(t *testing.T) []byte { return EncodeTasks([]*types.Task{filled[types.Task](t), {ID: "b"}}) },
+		func(b []byte) error { _, err := DecodeTasks(b); return err }},
+	{"result", func(t *testing.T) []byte { return EncodeResult(filled[types.Result](t)) },
+		func(b []byte) error { _, err := DecodeResult(b); return err }},
+}
+
+// Every proper prefix of a frame, and a frame with a byte after it,
+// is an error and never a panic.
+func TestTruncatedAndPaddedFramesFail(t *testing.T) {
+	for _, d := range decoders {
+		enc := d.frame(t)
+		for i := range enc {
+			if err := d.decode(enc[:i]); err == nil {
+				t.Fatalf("%s: accepted the %d-byte prefix of a %d-byte frame", d.name, i, len(enc))
+			}
+		}
+		if err := d.decode(append(enc[:len(enc):len(enc)], 0)); err == nil {
+			t.Fatalf("%s: accepted a frame with a trailing byte", d.name)
+		}
+	}
+}
+
+// A length prefix claiming more than the input holds is an error, and
+// the claimed length is never allocated.
+func TestOverlongLengthsFailWithoutAllocating(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xf0}
+	uvarintHuge := binary.AppendUvarint(nil, 1<<40)
+	task := EncodeTask(&types.Task{ID: "t", Payload: []byte("p")})
+	headerLen := int(binary.BigEndian.Uint32(task[1:]))
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cases := map[string][]byte{
+		"header length": join([]byte{formatTask}, huge, task[5:]),
+		"body length":   join(task[:5+headerLen], huge, []byte("p")),
+		"field length":  join([]byte{formatTask, 0, 0, 0, byte(1 + len(uvarintHuge)), byte(tagTaskID)}, uvarintHuge, []byte{0, 0, 0, 0}),
+		"batch count":   join([]byte{formatTasks}, uvarintHuge, task),
+		"batch entry":   join([]byte{formatTasks, 1}, huge, task),
+	}
+	for name, frame := range cases {
+		asResult := join([]byte{formatResult}, frame[1:])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, errTask := DecodeTask(frame)
+		_, errTasks := DecodeTasks(frame)
+		_, errResult := DecodeResult(asResult)
+		runtime.ReadMemStats(&after)
+		if errTask == nil || errTasks == nil || errResult == nil {
+			t.Fatalf("%s: accepted (task %v, tasks %v, result %v)", name, errTask, errTasks, errResult)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: decoding allocated %d bytes", name, grew)
+		}
+	}
+}
+
+// Values written by the JSON codec these frames replaced are refused
+// by name, whichever decoder meets them.
+func TestLegacyJSONIsNamed(t *testing.T) {
+	for _, legacy := range []string{
+		`{"task_id":"t1","function_id":"f","endpoint_id":"e","payload":"AAEC"}`,
+		`[{"task_id":"a","payload":null}]`,
+		`{"task_id":"t1","output":"Im9rIg=="}`,
+	} {
+		for _, d := range decoders {
+			if err := d.decode([]byte(legacy)); !errors.Is(err, ErrLegacyJSON) {
+				t.Fatalf("%s(%s) = %v, want ErrLegacyJSON", d.name, legacy, err)
+			}
+		}
+	}
+}
+
+// A hop that re-stamps a record re-encodes it into one allocation,
+// however large the body.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	task := filled[types.Task](t)
+	task.Selector = nil // sorting selector keys allocates; few tasks carry one
+	task.Payload = make([]byte, 64<<10)
+	if n := testing.AllocsPerRun(100, func() { EncodeTask(task) }); n != 1 {
+		t.Fatalf("EncodeTask: %v allocations, want 1", n)
+	}
+	res := filled[types.Result](t)
+	res.Output = make([]byte, 64<<10)
+	if n := testing.AllocsPerRun(100, func() { EncodeResult(res) }); n != 1 {
+		t.Fatalf("EncodeResult: %v allocations, want 1", n)
+	}
+}

@@ -2,7 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
+
+	"funcx/internal/types"
 )
 
 // codecs pairs each wire decoder with its re-encoder, closed over the
@@ -88,15 +96,75 @@ var codecs = []struct {
 	}},
 }
 
+// seedTask is the task behind the checked-in task and tasks seeds.
+var seedTask = &types.Task{
+	ID: "t-1", FunctionID: "fn-1", EndpointID: "ep-1", Owner: "alice",
+	Container: types.ContainerSpec{Tech: types.ContainerDocker, Image: "img:1"},
+	GroupID:   "g-1", Selector: map[string]string{"gpu": "a100", "site": "anl"},
+	Payload: []byte(`{"args":[1,2]}`), BodyHash: "abc123", Memoize: true, BatchN: 2,
+	Attempt: 2, Walltime: time.Minute, MaxRetries: 3, AtMostOnce: true,
+	Submitted: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC),
+	Trace:     &types.TraceContext{Sampled: true, TraceID: "0123456789abcdef0123456789abcdef"},
+}
+
+// seedResult is the result behind the checked-in result and event seeds.
+var seedResult = &types.Result{
+	TaskID: "t-1", Output: []byte(`"ok"`), Completed: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC),
+	Timing:   types.Timing{TS: time.Millisecond, TF: 2 * time.Millisecond, TE: 3 * time.Millisecond, TW: 4 * time.Millisecond},
+	WorkerID: "w-1", Memoized: true,
+	Trace: &types.TraceDeltas{Exec: time.Millisecond, ManagerQueue: time.Microsecond, AgentQueue: time.Nanosecond},
+}
+
+// frameSeeds are the binary frames checked in under
+// testdata/fuzz/FuzzDecode (TestFuzzSeedsCurrent keeps the files equal
+// to what the encoders write today).
+func frameSeeds() map[string][]byte {
+	result := EncodeResult(seedResult)
+	return map[string][]byte{
+		"task":        EncodeTask(seedTask),
+		"tasks":       EncodeTasks([]*types.Task{seedTask, {ID: "t-2", Payload: []byte("y")}, {}}),
+		"result":      result,
+		"result_lost": EncodeResult(&types.Result{TaskID: "t-2", Err: "lease expired", Lost: true}),
+		"event": EncodeEvent(&types.TaskEvent{
+			Seq: 7, TaskID: "t-1", Status: types.TaskSuccess, EndpointID: "ep-1", Result: result,
+			Time: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC),
+		}),
+	}
+}
+
+func seedFile(name string) string {
+	return filepath.Join("testdata", "fuzz", "FuzzDecode", name)
+}
+
+// The checked-in seeds are the current encoders' output, so the fuzzer
+// starts from frames that decode. WIRE_UPDATE_SEEDS=1 rewrites them
+// after a deliberate format change.
+func TestFuzzSeedsCurrent(t *testing.T) {
+	for name, frame := range frameSeeds() {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
+		if os.Getenv("WIRE_UPDATE_SEEDS") != "" {
+			if err := os.WriteFile(seedFile(name), []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := os.ReadFile(seedFile(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("seed %s is stale: rerun with WIRE_UPDATE_SEEDS=1", name)
+		}
+	}
+}
+
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"id":"t1","endpoint_id":"ep1","fn":"f1"}`))
 	f.Add([]byte(`{"task_id":"t1","worker_id":"w1","manager_id":"m1"}`))
 	f.Add([]byte(`{"endpoint_id":"ep1","workers":4,"containers":["py"]}`))
 	f.Add([]byte(`{"task_id":"t1","status":"success","time":"2026-01-02T03:04:05.000000006Z"}`))
-	f.Add([]byte(`[{"id":"a"},{"id":"b"}]`))
+	f.Add([]byte(`{"task_id":"t1","status":"success","result":"AwAAAAAAAAAA"}`))
 	f.Add([]byte(`{"id":"dag1","nodes":{"n":{"key":"n"}},"order":["n"]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range codecs {
@@ -111,6 +179,17 @@ func FuzzDecode(f *testing.F) {
 			if !bytes.Equal(enc1, enc2) {
 				t.Fatalf("%s: round trip is not a fixed point:\n first %q\nsecond %q", c.name, enc1, enc2)
 			}
+		}
+		// DecodeEvent's cut of a trailing result must be invisible:
+		// same verdict and same event as a plain JSON decode.
+		var want types.TaskEvent
+		wantErr := json.Unmarshal(data, &want)
+		got, err := DecodeEvent(data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeEvent(%q) error = %v, encoding/json says %v", data, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(*got, want) {
+			t.Fatalf("DecodeEvent(%q) = %+v, encoding/json says %+v", data, *got, want)
 		}
 	})
 }

@@ -1,72 +1,44 @@
-// Package wire defines the JSON codecs for the control-plane records
-// exchanged between the funcX service, forwarders, endpoint agents,
-// and managers. Task payloads and results remain opaque serialized
-// buffers (see internal/serial); wire only frames the records around
-// them.
+// Package wire defines the codecs for the records exchanged between the
+// funcX service, forwarders, endpoint agents, and managers, and kept
+// in the store and its WAL.
+//
+// The three per-task records — a task, a batch of tasks, a result —
+// are binary frames (frame.go). Payload and Output are opaque
+// serialized buffers (see internal/serial) that ride raw behind a
+// small header, so a hop routes, leases and re-stamps a record
+// without scanning its body (paper §4.6), and a decoder hands the
+// body out as a slice of its input instead of copying it:
+//
+//	task, result:
+//	  byte    format        0x01 task, 0x03 result
+//	  uint32  header length
+//	  header  fields, each: byte tag | uvarint length | value
+//	  uint32  body length   everything left
+//	  body    Payload / Output, raw
+//	batch:
+//	  byte    format        0x02
+//	  uvarint count
+//	  count × uint32 length | task frame
+//
+// Integers are big-endian; a field at its zero value is omitted. A
+// value whose first byte is '{' or '[' was written by the JSON codec
+// these frames replaced and fails to decode with ErrLegacyJSON.
+//
+// Everything else here is off the per-task path and stays JSON:
+// registrations, capacity, advice, status, execution-start signals,
+// DAG records, and the task event that GET /v1/events streams (whose
+// Result field carries a result frame).
 package wire
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 
 	"funcx/internal/dag"
 	"funcx/internal/types"
 )
-
-// EncodeTask frames a task for transport.
-func EncodeTask(t *types.Task) []byte {
-	b, err := json.Marshal(t)
-	if err != nil {
-		// types.Task contains only marshalable fields.
-		panic(fmt.Sprintf("wire: marshaling task: %v", err))
-	}
-	return b
-}
-
-// DecodeTask unframes a task.
-func DecodeTask(data []byte) (*types.Task, error) {
-	var t types.Task
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("wire: decoding task: %w", err)
-	}
-	return &t, nil
-}
-
-// EncodeTasks frames a batch of tasks (executor-side batching).
-func EncodeTasks(ts []*types.Task) []byte {
-	b, err := json.Marshal(ts)
-	if err != nil {
-		panic(fmt.Sprintf("wire: marshaling task batch: %v", err))
-	}
-	return b
-}
-
-// DecodeTasks unframes a batch of tasks.
-func DecodeTasks(data []byte) ([]*types.Task, error) {
-	var ts []*types.Task
-	if err := json.Unmarshal(data, &ts); err != nil {
-		return nil, fmt.Errorf("wire: decoding task batch: %w", err)
-	}
-	return ts, nil
-}
-
-// EncodeResult frames a result for transport.
-func EncodeResult(r *types.Result) []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		panic(fmt.Sprintf("wire: marshaling result: %v", err))
-	}
-	return b
-}
-
-// DecodeResult unframes a result.
-func DecodeResult(data []byte) (*types.Result, error) {
-	var r types.Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("wire: decoding result: %w", err)
-	}
-	return &r, nil
-}
 
 // Registration is the payload of a MsgRegister from an endpoint agent
 // to its forwarder, or from a manager to its agent.
@@ -165,24 +137,77 @@ func DecodeTaskStart(data []byte) (*TaskStart, error) {
 	return &s, nil
 }
 
+// resultKey introduces the last member of an encoded event that
+// carries a result.
+const resultKey = `,"result":"`
+
 // EncodeEvent frames a task lifecycle event (the SSE data payload of
-// GET /v1/events). json.Marshal emits no raw newlines, so the frame
-// always fits one SSE data line.
+// GET /v1/events) as one JSON object with no raw newline, so the
+// frame always fits one SSE data line. The result frame, the only
+// member that can be large, is written last and base64'd straight
+// into the output.
 func EncodeEvent(e *types.TaskEvent) []byte {
-	b, err := json.Marshal(e)
+	head := e
+	if len(e.Result) > 0 {
+		c := *e
+		c.Result = nil
+		head = &c
+	}
+	b, err := json.Marshal(head)
 	if err != nil {
 		panic(fmt.Sprintf("wire: marshaling event: %v", err))
 	}
-	return b
+	if len(e.Result) == 0 {
+		return b
+	}
+	out := make([]byte, 0, len(b)+len(resultKey)+base64.StdEncoding.EncodedLen(len(e.Result))+1)
+	out = append(out, b[:len(b)-1]...) // TaskID and Status are never omitted, so a member precedes the comma
+	out = append(out, resultKey...)
+	out = base64.StdEncoding.AppendEncode(out, e.Result)
+	return append(out, '"', '}')
 }
 
-// DecodeEvent unframes a task lifecycle event.
+// DecodeEvent unframes a task lifecycle event. Any JSON encoding of
+// the event is accepted; the one EncodeEvent writes is decoded without
+// a JSON scan of the result.
 func DecodeEvent(data []byte) (*types.TaskEvent, error) {
 	var e types.TaskEvent
+	if head, result, ok := cutResult(data); ok && json.Unmarshal(head, &e) == nil {
+		e.Result = result
+		return &e, nil
+	}
+	e = types.TaskEvent{}
 	if err := json.Unmarshal(data, &e); err != nil {
 		return nil, fmt.Errorf("wire: decoding event: %w", err)
 	}
 	return &e, nil
+}
+
+// cutResult splits an event that ends `,"result":"<base64>"}` into
+// the object without that member and the decoded result. The text
+// from the first resultKey on is plain base64 up to the closing `"}`
+// (a quote or an escape is not base64), and the text before it closes
+// into a complete object, which the caller's Unmarshal checks: so the
+// key sits between members of the outermost object and the whole is
+// the JSON it appears to be. ok is false for any other shape.
+func cutResult(data []byte) (head, result []byte, ok bool) {
+	body, ok := bytes.CutSuffix(data, []byte(`"}`))
+	at := bytes.Index(body, []byte(resultKey))
+	if !ok || at < 0 {
+		return nil, nil, false
+	}
+	// The comma needs a member before it, and base64.Decode skips
+	// line breaks that a JSON string may not hold.
+	front, b64 := bytes.TrimRight(body[:at], " \t\r\n"), body[at+len(resultKey):]
+	if bytes.HasSuffix(front, []byte("{")) || bytes.IndexByte(b64, '\n') >= 0 || bytes.IndexByte(b64, '\r') >= 0 {
+		return nil, nil, false
+	}
+	result, err := base64.StdEncoding.AppendDecode(nil, b64)
+	if err != nil || len(result) == 0 {
+		return nil, nil, false
+	}
+	head = append(make([]byte, 0, len(front)+1), front...)
+	return append(head, '}'), result, true
 }
 
 // EncodeDAG frames a dependency-graph record for the store (the

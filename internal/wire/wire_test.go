@@ -2,67 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"funcx/internal/types"
 )
-
-func TestTaskRoundTrip(t *testing.T) {
-	in := &types.Task{
-		ID:         "task-1",
-		FunctionID: "fn-1",
-		EndpointID: "ep-1",
-		Owner:      "alice",
-		Container:  types.ContainerSpec{Tech: types.ContainerDocker, Image: "img:1"},
-		Payload:    []byte{0, 1, 2, 255},
-		BodyHash:   "abc",
-		Memoize:    true,
-		BatchN:     3,
-		Attempt:    2,
-		Submitted:  time.Now().Truncate(time.Millisecond),
-	}
-	out, err := DecodeTask(EncodeTask(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != in.ID || out.FunctionID != in.FunctionID || out.EndpointID != in.EndpointID ||
-		out.Owner != in.Owner || out.Container != in.Container || !bytes.Equal(out.Payload, in.Payload) ||
-		out.BodyHash != in.BodyHash || out.Memoize != in.Memoize || out.BatchN != in.BatchN ||
-		out.Attempt != in.Attempt {
-		t.Fatalf("roundtrip = %+v, want %+v", out, in)
-	}
-}
-
-func TestTaskBatchRoundTrip(t *testing.T) {
-	in := []*types.Task{{ID: "a"}, {ID: "b"}, {ID: "c"}}
-	out, err := DecodeTasks(EncodeTasks(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || out[0].ID != "a" || out[2].ID != "c" {
-		t.Fatalf("roundtrip = %+v", out)
-	}
-}
-
-func TestResultRoundTrip(t *testing.T) {
-	in := &types.Result{
-		TaskID:   "t1",
-		Output:   []byte("output"),
-		Err:      `{"message":"boom"}`,
-		Timing:   types.Timing{TS: time.Millisecond, TF: 2 * time.Millisecond, TE: 3 * time.Millisecond, TW: 4 * time.Millisecond},
-		WorkerID: "w1",
-		Memoized: true,
-	}
-	out, err := DecodeResult(EncodeResult(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.TaskID != in.TaskID || !bytes.Equal(out.Output, in.Output) || out.Err != in.Err ||
-		out.Timing != in.Timing || out.WorkerID != in.WorkerID || !out.Memoized {
-		t.Fatalf("roundtrip = %+v", out)
-	}
-}
 
 func TestRegistrationRoundTrip(t *testing.T) {
 	in := &Registration{
@@ -117,11 +64,11 @@ func TestStatusRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := DecodeTask([]byte("{")); err == nil {
+	if _, err := DecodeTask([]byte("nope")); err == nil {
 		t.Fatal("DecodeTask accepted garbage")
 	}
-	if _, err := DecodeTasks([]byte("nope")); err == nil {
-		t.Fatal("DecodeTasks accepted garbage")
+	if _, err := DecodeTasks(EncodeTask(&types.Task{ID: "t"})); err == nil {
+		t.Fatal("DecodeTasks accepted a single task frame")
 	}
 	if _, err := DecodeResult(nil); err == nil {
 		t.Fatal("DecodeResult accepted nil")
@@ -134,5 +81,44 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 	if _, err := DecodeStatus([]byte("x")); err == nil {
 		t.Fatal("DecodeStatus accepted garbage")
+	}
+}
+
+// DecodeEvent decodes the result EncodeEvent wrote without a JSON scan
+// of it, and must agree with encoding/json on every other shape too —
+// including the ones that only look like a trailing result.
+func TestDecodeEventAgreesWithJSON(t *testing.T) {
+	result := EncodeResult(&types.Result{TaskID: "t", Output: bytes.Repeat([]byte{0xfb, 0xff}, 100)})
+	encoded := string(EncodeEvent(&types.TaskEvent{Seq: 3, TaskID: "t", Status: types.TaskSuccess, Result: result}))
+	b64 := base64.StdEncoding.EncodeToString(result)
+	if !strings.HasSuffix(encoded, `,"result":"`+b64+`"}`) {
+		t.Fatalf("EncodeEvent did not write the result last: %s", encoded)
+	}
+	for _, data := range []string{
+		encoded,
+		`{"task_id":"t","status":"success"}`,
+		`{"task_id":"t" ,"result":"` + b64 + `"}`,
+		`{"result":"` + b64 + `","task_id":"t"}`,
+		`{"task_id":"t","result":"AAAA","result":"` + b64 + `"}`,
+		`{"task_id":"t","result":"` + strings.ReplaceAll(b64, "/", `\/`) + `"}`,
+		`{"task_id":"t","result":""}`,
+		`{"task_id":"t","result":null}`,
+		`{"task_id":"t,\"result\":\"AAAA"}`,
+		// Not JSON, though each ends like an encoded event.
+		`{,"result":"AAAA"}`,
+		`{ ,"result":"AAAA"}`,
+		`{"task_id":"t",,"result":"AAAA"}`,
+		`{"x":{"task_id":"t","result":"AAAA"}`,
+		`{"task_id":"t","result":"AA` + "\n" + `AA"}`,
+		`{"task_id":7,"result":"AAAA"}`,
+	} {
+		var want types.TaskEvent
+		wantErr := json.Unmarshal([]byte(data), &want)
+		got, err := DecodeEvent([]byte(data))
+		if (err == nil) != (wantErr == nil) {
+			t.Errorf("DecodeEvent(%s) error = %v, encoding/json says %v", data, err, wantErr)
+		} else if err == nil && !reflect.DeepEqual(*got, want) {
+			t.Errorf("DecodeEvent(%s) = %+v, encoding/json says %+v", data, *got, want)
+		}
 	}
 }
