@@ -239,6 +239,13 @@ type WaitTasksResponse struct {
 	Pending []types.TaskID   `json:"pending,omitempty"`
 }
 
+// EventsTerminalParam is the GET /v1/events query parameter that
+// narrows the stream to completions: with terminal=1 only events that
+// retire a task (success, failed, lost — the ones carrying a result)
+// are sent, so seqs on the stream increase but are not contiguous.
+// Last-Event-ID resume works as on the full stream.
+const EventsTerminalParam = "terminal"
+
 // StatusResponse reports a task's lifecycle state (GET /v1/tasks/{id}).
 type StatusResponse struct {
 	TaskID types.TaskID     `json:"task_id"`

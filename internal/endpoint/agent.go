@@ -580,6 +580,7 @@ func (a *Agent) heartbeatLoop() {
 	defer a.wg.Done()
 	ticker := time.NewTicker(a.cfg.HeartbeatPeriod)
 	defer ticker.Stop()
+	lastCheck := time.Now()
 	for {
 		select {
 		case <-ticker.C:
@@ -592,7 +593,14 @@ func (a *Agent) heartbeatLoop() {
 				a.enqueueUpstream(transport.Message{Type: transport.MsgHeartbeat, Payload: []byte(a.cfg.ID)})
 				a.enqueueUpstream(transport.Message{Type: transport.MsgStatus, Payload: wire.EncodeStatus(a.Status())})
 			}
-			a.watchdog()
+			// The watchdog reads a manager's silence as its death, which
+			// holds only while this process was running to hear it. A
+			// check that comes late (a suspended VM, a starved
+			// scheduler) restarts every manager's clock instead: what
+			// they sent meanwhile is still queued, and a manager dropped
+			// here never comes back.
+			a.watchdog(time.Since(lastCheck) > 2*a.cfg.HeartbeatPeriod)
+			lastCheck = time.Now()
 		case <-a.ctx.Done():
 			return
 		}
@@ -600,12 +608,18 @@ func (a *Agent) heartbeatLoop() {
 }
 
 // watchdog detects managers whose heartbeats stopped and re-queues
-// their outstanding tasks for re-execution (§4.3).
-func (a *Agent) watchdog() {
-	cutoff := time.Now().Add(-time.Duration(a.cfg.HeartbeatMisses) * a.cfg.HeartbeatPeriod)
+// their outstanding tasks for re-execution (§4.3). After a stall of
+// the agent's own it finds nobody lost and counts every manager's
+// silence from now.
+func (a *Agent) watchdog(stalled bool) {
+	now := time.Now()
+	cutoff := now.Add(-time.Duration(a.cfg.HeartbeatMisses) * a.cfg.HeartbeatPeriod)
 	var lost []*managerState
 	a.mu.Lock()
 	for id, m := range a.managers {
+		if stalled {
+			m.lastSeen = now
+		}
 		if m.lastSeen.Before(cutoff) {
 			lost = append(lost, m)
 			delete(a.managers, id)

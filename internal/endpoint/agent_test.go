@@ -396,3 +396,23 @@ func TestMaxAttemptsGivesUp(t *testing.T) {
 		t.Fatalf("completed = %d", cmp)
 	}
 }
+
+// A process that stood still for longer than the watchdog's patience
+// must not take its own absence for its managers': here the agent's
+// lock is held for six beats, so neither the watchdog nor the reader
+// that refreshes a manager's lastSeen runs, and when it is released
+// the managers are all still there, and stay.
+func TestWatchdogForgivesItsOwnStall(t *testing.T) {
+	const beat = 40 * time.Millisecond // the managers' period in newAgentWithManagers
+	ff := newFakeForwarder(t)
+	a, _, _ := newAgentWithManagers(t, ff, Config{BatchDispatch: true, HeartbeatPeriod: beat}, 2, 1)
+	for range 5 {
+		a.mu.Lock()
+		time.Sleep(6 * beat)
+		a.mu.Unlock()
+		time.Sleep(3 * beat)
+		if n := a.ManagerCount(); n != 2 {
+			t.Fatalf("%d of 2 managers left after the agent stalled", n)
+		}
+	}
+}

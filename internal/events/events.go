@@ -12,6 +12,16 @@
 //     through Subscribe/Resume, resumable after a disconnect against
 //     a bounded per-user replay ring.
 //
+// A subscription takes either every event or, with TerminalOnly, just
+// the ones that retire a task (TaskEvent.Terminal: success, failed,
+// lost — the events that carry a result). The filter is applied inside
+// Publish, ahead of the subscription's channel, and to the replayed
+// suffix in Resume, so an event a subscriber did not ask for costs it
+// no buffer slot and no wake-up, and lifecycle chatter cannot make a
+// completion-only subscriber lag. Seqs number the user's whole stream:
+// a filtered subscriber sees them increase with holes, and resumes
+// from the last one it saw like any other.
+//
 // All operations are safe for concurrent use.
 package events
 
@@ -29,6 +39,31 @@ import (
 // gapless resume is impossible. Callers must re-subscribe from now
 // and reconcile missed completions out of band (batch wait).
 var ErrGap = errors.New("events: replay gap: events no longer buffered")
+
+// Filter selects which of a user's events a subscription is sent.
+type Filter uint8
+
+const (
+	// All delivers every event (the default).
+	All Filter = iota
+	// TerminalOnly delivers the events for which TaskEvent.Terminal
+	// holds and nothing else.
+	TerminalOnly
+)
+
+// admits reports whether a subscription with this filter is sent ev.
+func (f Filter) admits(ev *types.TaskEvent) bool {
+	return f == All || ev.Terminal()
+}
+
+// filterOf resolves the optional trailing argument of Subscribe and
+// Resume.
+func filterOf(only []Filter) Filter {
+	if len(only) == 0 {
+		return All
+	}
+	return only[0]
+}
 
 // Config parameterizes a Bus.
 type Config struct {
@@ -228,6 +263,9 @@ func (b *Bus) Publish(user types.UserID, ev types.TaskEvent) uint64 {
 		st.n++
 	}
 	for sub := range st.subs {
+		if !sub.filter.admits(&ev) {
+			continue
+		}
 		select {
 		case sub.c <- ev:
 		default:
@@ -293,12 +331,13 @@ func (b *Bus) SeedSeq(user types.UserID, seq uint64) {
 }
 
 // Subscribe attaches a live subscription starting now: only events
-// published after the call are delivered.
-func (b *Bus) Subscribe(user types.UserID) *Subscription {
+// published after the call are delivered, and of those only the ones
+// the filter (All when omitted) admits.
+func (b *Bus) Subscribe(user types.UserID, only ...Filter) *Subscription {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := b.stream(user)
-	return b.attachLocked(user, st, st.seq)
+	return b.attachLocked(user, st, filterOf(only))
 }
 
 // Resume attaches a subscription continuing after afterSeq: events
@@ -306,8 +345,12 @@ func (b *Bus) Subscribe(user types.UserID) *Subscription {
 // for immediate redelivery, and the subscription carries on from the
 // newest. ErrGap is returned when the ring no longer covers the
 // requested position (including an afterSeq from a different bus
-// incarnation, which is ahead of everything published here).
-func (b *Bus) Resume(user types.UserID, afterSeq uint64) ([]types.TaskEvent, *Subscription, error) {
+// incarnation, which is ahead of everything published here). The
+// filter (All when omitted) applies to the replay as it does to the
+// live subscription; whether the ring covers the position is judged on
+// the whole stream, so a filtered subscriber may be told ErrGap for a
+// stretch that held nothing it wanted.
+func (b *Bus) Resume(user types.UserID, afterSeq uint64, only ...Filter) ([]types.TaskEvent, *Subscription, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := b.stream(user)
@@ -317,17 +360,20 @@ func (b *Bus) Resume(user types.UserID, afterSeq uint64) ([]types.TaskEvent, *Su
 	if missed := st.seq - afterSeq; missed > uint64(st.n) {
 		return nil, nil, ErrGap
 	}
-	replay := make([]types.TaskEvent, 0, st.seq-afterSeq)
+	filter := filterOf(only)
+	var replay []types.TaskEvent
 	for seq := afterSeq + 1; seq <= st.seq; seq++ {
-		replay = append(replay, st.ring[st.slot(seq, b.cfg.Ring)])
+		if ev := &st.ring[st.slot(seq, b.cfg.Ring)]; filter.admits(ev) {
+			replay = append(replay, *ev)
+		}
 	}
-	return replay, b.attachLocked(user, st, st.seq), nil
+	return replay, b.attachLocked(user, st, filter), nil
 }
 
 // attachLocked creates and registers a subscription. Caller holds b.mu.
-func (b *Bus) attachLocked(user types.UserID, st *stream, start uint64) *Subscription {
+func (b *Bus) attachLocked(user types.UserID, st *stream, filter Filter) *Subscription {
 	c := make(chan types.TaskEvent, b.cfg.SubBuffer)
-	sub := &Subscription{C: c, c: c, bus: b, user: user, start: start}
+	sub := &Subscription{C: c, c: c, bus: b, user: user, start: st.seq, filter: filter}
 	st.subs[sub] = struct{}{}
 	return sub
 }
@@ -383,6 +429,7 @@ type Subscription struct {
 	bus    *Bus
 	user   types.UserID
 	start  uint64
+	filter Filter
 	closed bool
 	lagged bool
 }

@@ -217,3 +217,93 @@ func TestEvictIdleDisabledAndFreshStreamsKept(t *testing.T) {
 		t.Fatalf("fresh stream evicted (%d) before its TTL", n)
 	}
 }
+
+// lifecycle publishes one task's four events and returns the seq of
+// the terminal one.
+func lifecycle(b *Bus, user types.UserID, id string, terminal types.TaskStatus) uint64 {
+	for _, s := range []types.TaskStatus{types.TaskQueued, types.TaskDispatched, types.TaskRunning} {
+		b.Publish(user, ev(id, s))
+	}
+	e := ev(id, terminal)
+	e.Result = []byte("result of " + id)
+	return b.Publish(user, e)
+}
+
+func TestTerminalOnlySubscriptionSeesOnlyCompletions(t *testing.T) {
+	b := New(Config{})
+	all := b.Subscribe("alice")
+	defer all.Cancel()
+	sub := b.Subscribe("alice", TerminalOnly)
+	defer sub.Cancel()
+	b.Publish("alice", types.TaskEvent{TaskID: "d1", Status: types.DAGRunning, DAGID: "d1"})
+	b.Publish("alice", ev("t0", types.TaskPending))
+	want := []uint64{
+		lifecycle(b, "alice", "t1", types.TaskSuccess),
+		lifecycle(b, "alice", "t2", types.TaskFailed),
+		lifecycle(b, "alice", "t3", types.TaskLost),
+	}
+	for i, seq := range want {
+		got := <-sub.C
+		if !got.Terminal() || got.Seq != seq || len(got.Result) == 0 {
+			t.Fatalf("event %d = %+v, want the terminal event at seq %d with its result", i, got, seq)
+		}
+	}
+	select {
+	case e := <-sub.C:
+		t.Fatalf("unexpected extra event %+v", e)
+	default:
+	}
+	// The unfiltered subscription next to it still gets all fourteen.
+	if n := len(all.C); n != 14 {
+		t.Fatalf("unfiltered subscription holds %d events, want 14", n)
+	}
+}
+
+// Events a subscriber did not ask for take no slot of its buffer.
+func TestTerminalOnlySubscriberDoesNotLagOnLifecycleEvents(t *testing.T) {
+	b := New(Config{SubBuffer: 4})
+	sub := b.Subscribe("alice", TerminalOnly)
+	defer sub.Cancel()
+	for i := range 5 { // SubBuffer+1
+		b.Publish("alice", ev(fmt.Sprintf("t%d", i), types.TaskQueued))
+	}
+	seq := b.Publish("alice", ev("t0", types.TaskSuccess))
+	select {
+	case got, ok := <-sub.C:
+		if !ok || got.Seq != seq {
+			t.Fatalf("got %+v (open %v), want seq %d", got, ok, seq)
+		}
+	default:
+		t.Fatal("terminal event not delivered")
+	}
+	if sub.Lagged() {
+		t.Fatal("filtered subscriber lagged on events it never receives")
+	}
+}
+
+func TestTerminalOnlyResumeFiltersReplayAndStillGaps(t *testing.T) {
+	b := New(Config{Ring: 16})
+	first := lifecycle(b, "alice", "t1", types.TaskSuccess)
+	second := lifecycle(b, "alice", "t2", types.TaskSuccess)
+	third := lifecycle(b, "alice", "t3", types.TaskFailed)
+	replay, sub, err := b.Resume("alice", first, TerminalOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	if len(replay) != 2 || replay[0].Seq != second || replay[1].Seq != third {
+		t.Fatalf("replay = %+v, want seqs %d and %d", replay, second, third)
+	}
+	// Live delivery carries on after the replay, filtered alike.
+	fourth := lifecycle(b, "alice", "t4", types.TaskSuccess)
+	if got := <-sub.C; got.Seq != fourth {
+		t.Fatalf("live after resume = %+v, want seq %d", got, fourth)
+	}
+	// Past the ring the answer is ErrGap, whatever the stretch held.
+	for i := range 5 {
+		lifecycle(b, "alice", fmt.Sprintf("u%d", i), types.TaskSuccess)
+	}
+	if _, _, err := b.Resume("alice", first, TerminalOnly); !errors.Is(err, ErrGap) {
+		t.Fatalf("err = %v, want ErrGap", err)
+	}
+}

@@ -104,6 +104,12 @@ type Forwarder struct {
 	wg     sync.WaitGroup
 	ln     transport.Listener
 
+	// attached wakes dispatchLoop when handleAgent installs a
+	// connection, so a task queued ahead of the agent leaves with the
+	// registration instead of after the loop's next quarter-beat check.
+	// One token is enough: the loop re-reads conn on every wake-up.
+	attached chan struct{}
+
 	mu        sync.Mutex
 	conn      transport.Conn
 	lastSeen  time.Time
@@ -176,9 +182,10 @@ func New(cfg Config) *Forwarder {
 		cfg.DispatchLease = 4 * time.Duration(cfg.HeartbeatMisses) * cfg.HeartbeatPeriod
 	}
 	return &Forwarder{
-		cfg:     cfg,
-		leases:  make(map[types.TaskID]*lease),
-		tfStart: make(map[types.TaskID]time.Duration),
+		cfg:      cfg,
+		attached: make(chan struct{}, 1),
+		leases:   make(map[types.TaskID]*lease),
+		tfStart:  make(map[types.TaskID]time.Duration),
 	}
 }
 
@@ -332,6 +339,10 @@ func (f *Forwarder) handleAgent(conn transport.Conn) {
 	f.connected = true
 	f.lastSeen = time.Now()
 	f.mu.Unlock()
+	select {
+	case f.attached <- struct{}{}:
+	default:
+	}
 	if old != nil {
 		old.Close()
 	}
@@ -341,12 +352,7 @@ func (f *Forwarder) handleAgent(conn transport.Conn) {
 		if err != nil {
 			// Agent link dropped. Mark disconnected and requeue
 			// outstanding tasks for redelivery after reconnect.
-			f.mu.Lock()
-			mine := f.conn == conn
-			f.mu.Unlock()
-			if mine {
-				f.disconnect("connection lost")
-			}
+			f.disconnectIfCurrent(conn, "connection lost")
 			return
 		}
 		// Any inbound frame proves the agent alive: results, status
@@ -439,6 +445,18 @@ func (f *Forwarder) disconnect(reason string) {
 	f.mu.Unlock()
 }
 
+// disconnectIfCurrent is disconnect for a failure seen on one
+// connection: a newer registration may have replaced it since, and the
+// replacement must not pay for its predecessor's error.
+func (f *Forwarder) disconnectIfCurrent(conn transport.Conn, reason string) {
+	f.mu.Lock()
+	current := f.conn == conn
+	f.mu.Unlock()
+	if current {
+		f.disconnect(reason)
+	}
+}
+
 // sweepLeases reclaims dispatched tasks whose lease expired without a
 // running signal or result: the agent link may be nominally healthy
 // while the task itself is black-holed (wedged manager, dropped frame).
@@ -494,6 +512,9 @@ func (f *Forwarder) sweepLeases() {
 // in the reliable queue.
 func (f *Forwarder) dispatchLoop() {
 	defer f.wg.Done()
+	// idle paces offloadOrphans while no agent is connected.
+	idle := time.NewTimer(f.cfg.HeartbeatPeriod / 4)
+	defer idle.Stop()
 	for {
 		select {
 		case <-f.ctx.Done():
@@ -505,9 +526,15 @@ func (f *Forwarder) dispatchLoop() {
 		f.mu.Unlock()
 		if conn == nil {
 			// No agent: offer queued tasks to the failover path, then
-			// wait for a connection rather than spinning.
+			// wait for one to attach (or the next offload round).
 			f.offloadOrphans()
-			time.Sleep(f.cfg.HeartbeatPeriod / 4)
+			idle.Reset(f.cfg.HeartbeatPeriod / 4)
+			select {
+			case <-f.attached:
+			case <-idle.C:
+			case <-f.ctx.Done():
+				return
+			}
 			continue
 		}
 		data, receipt, err := f.cfg.TaskQueue.BPopReliable(f.cfg.HeartbeatPeriod)
@@ -534,7 +561,7 @@ func (f *Forwarder) dispatchLoop() {
 			// except an at-most-once task, which may have partially
 			// reached the agent and must never risk double delivery.
 			f.recoverUnleased(task, receipt, "send failed")
-			f.disconnect("send failed")
+			f.disconnectIfCurrent(conn, "send failed")
 			continue
 		}
 		f.mu.Lock()
@@ -680,11 +707,20 @@ func (f *Forwarder) heartbeatLoop() {
 	defer f.wg.Done()
 	ticker := time.NewTicker(f.cfg.HeartbeatPeriod)
 	defer ticker.Stop()
+	lastCheck := time.Now()
 	for {
 		select {
 		case <-ticker.C:
 			f.mu.Lock()
 			conn := f.conn
+			// The agent's silence counts only while this process was
+			// running to hear it: a check that comes late (a suspended
+			// VM, a starved scheduler) restarts the agent's clock, and
+			// the frames that queued up meanwhile refresh it from there.
+			if time.Since(lastCheck) > 2*f.cfg.HeartbeatPeriod {
+				f.lastSeen = time.Now()
+			}
+			lastCheck = time.Now()
 			stale := f.connected && time.Since(f.lastSeen) > time.Duration(f.cfg.HeartbeatMisses)*f.cfg.HeartbeatPeriod
 			advice := f.advice
 			// Never relay expired advice: each delivery re-stamps the

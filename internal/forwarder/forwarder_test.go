@@ -203,6 +203,39 @@ loop:
 	}
 }
 
+// A forwarder that stood still for longer than its patience must not
+// take its own absence for the agent's: with its lock held for six
+// beats neither the loss check nor the reader that refreshes lastSeen
+// runs, and a heartbeating agent is still connected afterwards.
+func TestHeartbeatLossForgivesItsOwnStall(t *testing.T) {
+	const beat = 30 * time.Millisecond
+	h := newHarness(t, Config{HeartbeatPeriod: beat, HeartbeatMisses: 3})
+	conn := h.connectAgent(t, "")
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		tick := time.NewTicker(beat / 2)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				conn.Send(transport.Message{Type: transport.MsgHeartbeat, Payload: []byte("ep-1")}) //nolint:errcheck
+			case <-done:
+				return
+			}
+		}
+	}()
+	for range 5 {
+		h.fwd.mu.Lock()
+		time.Sleep(6 * beat)
+		h.fwd.mu.Unlock()
+		time.Sleep(2 * beat)
+		if !h.fwd.Connected() {
+			t.Fatal("heartbeating agent declared lost after the forwarder stalled")
+		}
+	}
+}
+
 func TestAuthRejection(t *testing.T) {
 	h := newHarness(t, Config{
 		Auth: func(ep types.EndpointID, token string) error {
@@ -309,5 +342,30 @@ func TestNewRegistrationReplacesOld(t *testing.T) {
 	task, _ := wire.DecodeTask(msg.Payload)
 	if task.ID != "t1" {
 		t.Fatalf("fresh conn got %s", task.ID)
+	}
+}
+
+// A slow heartbeat must not slow the first dispatch: the loop is woken
+// by the registration, not by its quarter-beat idle timer (500 ms here).
+func TestDispatchWakesOnAgentAttach(t *testing.T) {
+	h := newHarness(t, Config{HeartbeatPeriod: 2 * time.Second})
+	pushTask(t, h.queue, "t1")
+	// Let the loop see "no agent" and park.
+	time.Sleep(50 * time.Millisecond)
+	conn := h.connectAgent(t, "")
+	attached := time.Now()
+	recvType(t, conn, transport.MsgTask, 2*time.Second)
+	if d := time.Since(attached); d > 100*time.Millisecond {
+		t.Fatalf("task dispatched %v after the agent attached, want < 100ms", d)
+	}
+}
+
+func TestStopDoesNotWaitOutIdleTimer(t *testing.T) {
+	h := newHarness(t, Config{HeartbeatPeriod: 2 * time.Second})
+	time.Sleep(20 * time.Millisecond)
+	began := time.Now()
+	h.fwd.Stop()
+	if d := time.Since(began); d > 100*time.Millisecond {
+		t.Fatalf("Stop took %v with no agent connected, want < 100ms", d)
 	}
 }

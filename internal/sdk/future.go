@@ -513,7 +513,8 @@ func (st *streamer) streamOnce(lastSeq *uint64) error {
 	if base == "" {
 		base = c.baseURL
 	}
-	req, err := http.NewRequestWithContext(st.ctx, http.MethodGet, base+"/v1/events", nil)
+	// Completions only: handleEvent has no use for anything else.
+	req, err := http.NewRequestWithContext(st.ctx, http.MethodGet, base+"/v1/events?"+api.EventsTerminalParam+"=1", nil)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"funcx/internal/api"
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/types"
@@ -105,6 +106,39 @@ func sseless(t *testing.T, svc *service.Service) *httptest.Server {
 	}))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// A server that does not know the terminal parameter streams every
+// lifecycle event; the consumer drops what it did not ask for and
+// resolves from the completions all the same.
+func TestFutureResolvesWhenServerIgnoresTerminalFilter(t *testing.T) {
+	c0, svc := testClient(t)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/events" {
+			r.URL.RawQuery = ""
+		}
+		svc.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	c := New(srv.URL, c0.token)
+	t.Cleanup(c.Close)
+	fnID, epID := fixture(t, c)
+	ctx := getCtx(t)
+
+	for i := range 3 {
+		f, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		complete(svc, f.TaskID(), float64(i))
+		res, err := f.Get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := res.Value(nil); err != nil || v.(float64) != float64(i) {
+			t.Fatalf("task %d: value = %v, %v", i, v, err)
+		}
+	}
 }
 
 func TestFutureFallsBackToBatchWait(t *testing.T) {
@@ -280,13 +314,19 @@ func TestMapFutureGathersPackedBatches(t *testing.T) {
 	}
 }
 
-// waitCounter serves svc and counts POST /v1/tasks/wait requests.
+// waitCounter serves svc and counts POST /v1/tasks/wait requests; it
+// also holds the consumer to asking for completions only.
 func waitCounter(t *testing.T, svc *service.Service) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var waits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/tasks/wait" {
+		switch r.URL.Path {
+		case "/v1/tasks/wait":
 			waits.Add(1)
+		case "/v1/events":
+			if r.URL.RawQuery != api.EventsTerminalParam+"=1" {
+				t.Errorf("GET /v1/events?%s, want ?%s=1", r.URL.RawQuery, api.EventsTerminalParam)
+			}
 		}
 		svc.ServeHTTP(w, r)
 	}))

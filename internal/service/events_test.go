@@ -2,10 +2,14 @@ package service
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +25,16 @@ import (
 // body to end the stream.
 func openSSE(t *testing.T, srv *httptest.Server, token, lastEventID string) (<-chan types.TaskEvent, *http.Response) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/events", nil)
+	return openSSEAt(t, srv, "/v1/events", token, lastEventID)
+}
+
+// terminalOnly is the completions-only stream the SDK subscribes to.
+const terminalOnly = "/v1/events?" + api.EventsTerminalParam + "=1"
+
+// openSSEAt is openSSE for a path that may carry a query.
+func openSSEAt(t *testing.T, srv *httptest.Server, path, token, lastEventID string) (<-chan types.TaskEvent, *http.Response) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, srv.URL+path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +198,47 @@ func TestSSEResumeNoLossNoDup(t *testing.T) {
 	}
 }
 
+// The same cut and resume on a completions-only stream: the replay is
+// the terminal events of the missed stretch and nothing else, seqs
+// keep the full stream's numbering, and the stream carries on live.
+func TestSSEResumeTerminalOnlyNoLossNoDup(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	submit := func() types.TaskID {
+		var sub api.SubmitResponse
+		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+			api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
+		return sub.TaskID
+	}
+
+	ch, resp := openSSEAt(t, srv, terminalOnly, token, "")
+	idA := submit()                         // seq 1, not sent
+	completeTask(svc, idA, []byte("01\na")) // seq 2
+	first := nextEvent(t, ch)
+	if first.TaskID != idA || first.Status != types.TaskSuccess || first.Seq != 2 || len(first.Result) == 0 {
+		t.Fatalf("first event = %+v, want A's completion at seq 2 with its result", first)
+	}
+	resp.Body.Close()
+	idB := submit()                         // seq 3
+	completeTask(svc, idB, []byte("01\nb")) // seq 4
+	idC := submit()                         // seq 5
+
+	ch2, resp2 := openSSEAt(t, srv, terminalOnly, token, strconv.FormatUint(first.Seq, 10))
+	defer resp2.Body.Close()
+	if ev := nextEvent(t, ch2); ev.TaskID != idB || ev.Status != types.TaskSuccess || ev.Seq != 4 || len(ev.Result) != 0 {
+		t.Fatalf("replayed event = %+v, want B's completion at seq 4, result trimmed", ev)
+	}
+	completeTask(svc, idC, []byte("01\nc")) // seq 6
+	if ev := nextEvent(t, ch2); ev.TaskID != idC || ev.Seq != 6 || len(ev.Result) == 0 {
+		t.Fatalf("live event after resume = %+v, want C's completion at seq 6 with its result", ev)
+	}
+	select {
+	case ev := <-ch2:
+		t.Fatalf("unexpected extra event %+v", ev)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
 func seqsOf(evs []types.TaskEvent) []uint64 {
 	out := make([]uint64, len(evs))
 	for i, ev := range evs {
@@ -219,6 +273,17 @@ func TestSSEResumeGapIsGone(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("gap resume = %d, want 410 Gone", resp.StatusCode)
+	}
+	// Filtered or not: the ring is judged on the whole stream.
+	req, _ = http.NewRequest(http.MethodGet, srv.URL+terminalOnly, nil)
+	req.Header.Set("Authorization", "Bearer "+token)
+	req.Header.Set("Last-Event-ID", "1")
+	if resp, err = srv.Client().Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("filtered gap resume = %d, want 410 Gone", resp.StatusCode)
 	}
 	// A position the ring still covers resumes fine.
 	ch, resp2 := openSSE(t, srv, token, "3")
@@ -301,5 +366,232 @@ func TestWaitersGoneUnifiedOnBus(t *testing.T) {
 	doJSON(t, srv, token, http.MethodGet, "/v1/tasks/"+string(sub.TaskID)+"/result", nil, nil)
 	if n := svc.Events.PendingDone(); n != 0 {
 		t.Fatalf("done registrations leaked: %d", n)
+	}
+}
+
+// A completions-only stream carries no queued, dispatched, running or
+// pending event, and every terminal one in seq order with its result.
+func TestEventStreamTerminalOnly(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	ch, resp := openSSEAt(t, srv, terminalOnly, token, "")
+	defer resp.Body.Close()
+
+	var ids []types.TaskID
+	for range 3 {
+		var sub api.SubmitResponse
+		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+			api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
+		svc.onDispatched(&types.Task{ID: sub.TaskID, EndpointID: epID, Owner: "alice"})
+		svc.onRunning(sub.TaskID, epID)
+		ids = append(ids, sub.TaskID)
+	}
+	for i, id := range ids {
+		completeTask(svc, id, []byte("01\n"+strconv.Itoa(i)))
+	}
+	var last uint64
+	for i, id := range ids {
+		ev := nextEvent(t, ch)
+		res, err := wire.DecodeResult(ev.Result)
+		if ev.TaskID != id || !ev.Terminal() || ev.Seq <= last || err != nil || string(res.Output) != "01\n"+strconv.Itoa(i) {
+			t.Fatalf("event %d = %+v (result %+v, %v), want %s's completion after seq %d", i, ev, res, err, id, last)
+		}
+		last = ev.Seq
+	}
+	// Three tasks of four events each: the last completion is seq 12.
+	if last != 12 {
+		t.Fatalf("last seq = %d, want 12: the filtered stream keeps the full numbering", last)
+	}
+
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/events?"+api.EventsTerminalParam+"=maybe", nil)
+	req.Header.Set("Authorization", "Bearer "+token)
+	bad, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed terminal parameter = %d, want 400", bad.StatusCode)
+	}
+}
+
+// streamRecorder is a ResponseWriter for driving handleEvents without
+// a connection: it records frames and flushes, and holds every Write
+// until gate is closed, so a test can fill the subscription while the
+// handler sits in its first write.
+type streamRecorder struct {
+	gate    chan struct{}
+	flushed chan struct{} // one token per flush
+
+	mu      sync.Mutex
+	header  http.Header
+	body    bytes.Buffer
+	flushes int
+}
+
+func newStreamRecorder() *streamRecorder {
+	return &streamRecorder{gate: make(chan struct{}), flushed: make(chan struct{}, 1024), header: make(http.Header)}
+}
+
+func (w *streamRecorder) Header() http.Header { return w.header }
+func (w *streamRecorder) WriteHeader(int)     {}
+
+func (w *streamRecorder) Write(p []byte) (int, error) {
+	<-w.gate
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(p)
+}
+
+func (w *streamRecorder) Flush() {
+	w.mu.Lock()
+	w.flushes++
+	w.mu.Unlock()
+	w.flushed <- struct{}{}
+}
+
+// seqs returns the ids of the frames written so far and the number of
+// flushes that carried them.
+func (w *streamRecorder) seqs(t *testing.T) (seqs []uint64, flushes int) {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, line := range strings.Split(w.body.String(), "\n") {
+		if id, ok := strings.CutPrefix(line, "id: "); ok {
+			seq, err := strconv.ParseUint(id, 10, 64)
+			if err != nil {
+				t.Fatalf("frame id %q: %v", id, err)
+			}
+			seqs = append(seqs, seq)
+		}
+	}
+	return seqs, w.flushes
+}
+
+// streamInto serves one GET /v1/events for alice into a recorder and
+// returns once the subscription is attached (the 200 has been
+// flushed). stop ends the request and waits for the handler.
+func streamInto(t *testing.T, svc *Service, token string) (w *streamRecorder, stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, terminalOnly, nil).WithContext(ctx)
+	req.Header.Set("Authorization", "Bearer "+token)
+	w = newStreamRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.ServeHTTP(w, req)
+	}()
+	select {
+	case <-w.flushed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("stream never answered")
+	}
+	return w, func() {
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Error("handler did not return after its request was canceled")
+		}
+	}
+}
+
+// publishCompletions puts n terminal events on alice's stream and
+// returns their seqs.
+func publishCompletions(svc *Service, n int) []uint64 {
+	seqs := make([]uint64, n)
+	for i := range seqs {
+		seqs[i] = svc.Events.Publish("alice", types.TaskEvent{
+			TaskID: types.TaskID("t" + strconv.Itoa(i)), Status: types.TaskSuccess, Time: time.Now(),
+		})
+	}
+	return seqs
+}
+
+// awaitFrames waits until the recorder holds n frames.
+func awaitFrames(t *testing.T, w *streamRecorder, n int) (seqs []uint64, flushes int) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		if seqs, flushes = w.seqs(t); len(seqs) >= n {
+			return seqs, flushes
+		}
+		select {
+		case <-w.flushed:
+		case <-deadline:
+			t.Fatalf("%d of %d frames arrived", len(seqs), n)
+		}
+	}
+}
+
+// Events that are ready together share a flush: N of them waiting when
+// the handler gets to write cost about N/sseDrainMax flushes, not N,
+// and arrive in order.
+func TestEventStreamCoalescesFlushes(t *testing.T) {
+	svc, _, token := testService(t)
+	w, stop := streamInto(t, svc, token)
+	defer stop()
+
+	const n = 150
+	want := publishCompletions(svc, n) // the handler takes the first and blocks writing it
+	close(w.gate)
+	got, flushes := awaitFrames(t, w, n)
+	if !slices.Equal(got, want) {
+		t.Fatalf("frames = %v, want %v", got, want)
+	}
+	// One flush sent the 200; the rest carried frames.
+	if limit := (n+sseDrainMax-1)/sseDrainMax + 1; flushes-1 > limit {
+		t.Fatalf("%d events cost %d flushes, want at most %d", n, flushes-1, limit)
+	}
+}
+
+// A subscription the bus closes as lagged while the handler is in the
+// middle of draining it loses nothing: what was buffered is written,
+// and the rest comes from the ring.
+func TestEventStreamLaggedMidDrainResumes(t *testing.T) {
+	svc, _, token := testService(t)
+	w, stop := streamInto(t, svc, token)
+	defer stop()
+
+	// More than the subscription's buffer can hold behind the one
+	// event the handler is stuck writing, and less than the ring.
+	const n = 400
+	want := publishCompletions(svc, n)
+	close(w.gate)
+	got, _ := awaitFrames(t, w, n)
+	if !slices.Equal(got, want) {
+		t.Fatalf("frames = %v, want %v", got, want)
+	}
+	if strings.Contains(w.body.String(), "event: gap") {
+		t.Fatal("stream reported a gap the ring covered")
+	}
+}
+
+// Two clients of one user both receive a result inline, but its
+// cleanup is scheduled, and counted, once.
+func TestStreamPurgeCountsOncePerTask(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	ch1, resp1 := openSSEAt(t, srv, terminalOnly, token, "")
+	defer resp1.Body.Close()
+	ch2, resp2 := openSSE(t, srv, token, "")
+	defer resp2.Body.Close()
+
+	// Each handler purges after a flush and before its next write, so
+	// once both clients hold the third completion the first two are
+	// accounted for on both streams.
+	for range 3 {
+		var sub api.SubmitResponse
+		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+			api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
+		completeTask(svc, sub.TaskID, []byte("01\nout"))
+		for _, ch := range []<-chan types.TaskEvent{ch1, ch2} {
+			for ev := nextEvent(t, ch); !ev.Terminal(); ev = nextEvent(t, ch) {
+			}
+		}
+	}
+	if n := svc.StatsSnapshot().StreamPurged; n < 2 || n > 3 {
+		t.Fatalf("StreamPurged = %d after 3 results on 2 streams, want 2 or 3 (once per task)", n)
 	}
 }

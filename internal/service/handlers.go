@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -692,22 +693,41 @@ func (s *Service) handleWaitTasks(w http.ResponseWriter, r *http.Request) {
 // sseHeartbeat paces keep-alive comments on idle event streams.
 const sseHeartbeat = 15 * time.Second
 
+// sseGapFrame tells a subscriber that lagged past the replay ring to
+// start over.
+const sseGapFrame = "event: gap\ndata: {\"error\":\"replay gap: resume from scratch and reconcile via POST /v1/tasks/wait\"}\n\n"
+
+// sseDrainMax bounds how many ready events one flush covers, so a
+// stream that never runs dry still returns to its select to see a
+// canceled request or a due heartbeat.
+const sseDrainMax = 64
+
 // handleEvents is GET /v1/events: a Server-Sent Events stream
 // multiplexing all of the authenticated user's task lifecycle events
-// over one connection. A dropped subscriber reconnects with the
-// standard Last-Event-ID header and is replayed the missed events
-// from the bounded per-user ring; when the gap exceeds the ring the
-// request fails 410 Gone (reconnect fresh and reconcile completions
-// via POST /v1/tasks/wait). A subscriber that falls behind mid-stream
-// is resumed in place from the ring, or told "event: gap" when even
-// that is impossible.
+// over one connection, or with ?terminal=1 only the terminal ones. A
+// dropped subscriber reconnects with the standard Last-Event-ID header
+// and is replayed the missed events from the bounded per-user ring;
+// when the gap exceeds the ring the request fails 410 Gone (reconnect
+// fresh and reconcile completions via POST /v1/tasks/wait). A
+// subscriber that falls behind mid-stream is resumed in place from the
+// ring, or told "event: gap" when even that is impossible.
+//
+// Frames are flushed as soon as the subscription has nothing else
+// ready: one event on an idle stream goes out at once, a burst shares
+// one flush.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: "streaming unsupported by transport"})
-		return
-	}
 	user := claimsOf(r).Subject
+	filter := events.All
+	if v := r.URL.Query().Get(api.EventsTerminalParam); v != "" {
+		terminal, err := strconv.ParseBool(v)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "malformed " + api.EventsTerminalParam + " parameter: " + err.Error()})
+			return
+		}
+		if terminal {
+			filter = events.TerminalOnly
+		}
+	}
 
 	var replay []types.TaskEvent
 	var sub *events.Subscription
@@ -718,7 +738,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "malformed Last-Event-ID: " + err.Error()})
 			return
 		}
-		replay, sub, err = s.Events.Resume(user, after)
+		replay, sub, err = s.Events.Resume(user, after, filter)
 		if err != nil {
 			// The ring no longer covers the gap: a lossless resume is
 			// impossible, and the client must reconcile out of band.
@@ -727,7 +747,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		lastSeq = after
 	} else {
-		sub = s.Events.Subscribe(user)
+		sub = s.Events.Subscribe(user, filter)
 		lastSeq = sub.Start()
 	}
 	defer func() { sub.Cancel() }()
@@ -736,74 +756,115 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+	rc := http.NewResponseController(w)
+	// The first flush sends the 200; a writer that cannot flush says so
+	// before anything has been written.
+	if err := rc.Flush(); err != nil {
+		if errors.Is(err, http.ErrNotSupported) {
+			writeJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: "streaming unsupported by transport"})
+		}
+		return
+	}
 
-	write := func(ev types.TaskEvent) bool {
+	// delivered lists the results written since the last flush.
+	var delivered []types.TaskID
+	write := func(ev *types.TaskEvent) bool {
 		// Written in pieces: formatting the frame into one buffer
 		// would copy an inline result once more.
 		var line [32]byte
 		id := append(strconv.AppendUint(append(line[:0], "id: "...), ev.Seq, 10), "\ndata: "...)
-		for _, piece := range [...][]byte{id, wire.EncodeEvent(&ev), []byte("\n\n")} {
+		for _, piece := range [...][]byte{id, wire.EncodeEvent(ev), []byte("\n\n")} {
 			if _, err := w.Write(piece); err != nil {
 				return false
 			}
 		}
-		fl.Flush()
 		lastSeq = ev.Seq
-		// Ack-on-stream purge: a terminal event carrying the inline
-		// result just reached the owner's own stream, so the stored
-		// bytes have been delivered — schedule them out of the store
-		// instead of waiting for an explicit result fetch. Streams
-		// are per-user, not per-client, so the purge keeps a grace
-		// TTL for any sibling client still polling. The presence
-		// check keeps replayed events from double-counting.
-		if ev.Status.Terminal() && len(ev.Result) > 0 {
-			if _, present := s.Store.Hash(resultsHash).Get(string(ev.TaskID)); present {
-				s.purgeAfterStream(ev.TaskID)
-				s.mu.Lock()
-				s.streamPurged++
-				s.mu.Unlock()
-			}
+		if ev.Terminal() && len(ev.Result) > 0 {
+			delivered = append(delivered, ev.TaskID)
 		}
 		return true
 	}
-	for _, ev := range replay {
-		if !write(ev) {
-			return
+	flush := func() bool {
+		if err := rc.Flush(); err != nil {
+			return false
 		}
+		// Ack-on-stream purge: terminal events carrying their inline
+		// results just reached the owner's own stream, so the stored
+		// bytes have been delivered — schedule them out of the store
+		// instead of waiting for an explicit result fetch. Streams are
+		// per-user, not per-client, so the purge keeps a grace TTL for
+		// any sibling client still polling, and only the first stream
+		// to deliver a result schedules (and counts) it.
+		for _, id := range delivered {
+			if s.purgeAfterStream(id) {
+				s.streamPurged.Add(1)
+			}
+		}
+		delivered = delivered[:0]
+		return true
+	}
+	writeAll := func(evs []types.TaskEvent) bool {
+		if len(evs) == 0 {
+			return true
+		}
+		for i := range evs {
+			if !write(&evs[i]) {
+				return false
+			}
+		}
+		return flush()
+	}
+	if !writeAll(replay) {
+		return
 	}
 
 	heartbeat := time.NewTicker(sseHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				// Lagged: the bus dropped us rather than block the
-				// publisher. Resume from the last seq actually sent.
-				replay, nsub, err := s.Events.Resume(user, lastSeq)
-				if err != nil {
-					fmt.Fprint(w, "event: gap\ndata: {\"error\":\"replay gap: resume from scratch and reconcile via POST /v1/tasks/wait\"}\n\n") //nolint:errcheck
-					fl.Flush()
+		case ev, open := <-sub.C:
+			// Write ev and whatever else is ready, then flush once.
+		drain:
+			for n := 1; open; n++ {
+				if !write(&ev) {
 					return
 				}
-				sub = nsub
-				for _, ev := range replay {
-					if !write(ev) {
-						return
-					}
+				if n == sseDrainMax {
+					break
 				}
+				select {
+				case ev, open = <-sub.C:
+				default:
+					break drain
+				}
+			}
+			if !flush() {
+				return
+			}
+			if open {
 				continue
 			}
-			if !write(ev) {
+			// Lagged: the bus dropped us rather than block the
+			// publisher. Resume from the last seq actually sent.
+			replay, nsub, err := s.Events.Resume(user, lastSeq, filter)
+			if err != nil {
+				// The connection ends here either way, so a failed write
+				// changes nothing.
+				io.WriteString(w, sseGapFrame) //nolint:errcheck
+				rc.Flush()                     //nolint:errcheck
+				return
+			}
+			sub = nsub
+			if !writeAll(replay) {
 				return
 			}
 		case <-heartbeat.C:
 			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
 				return
 			}
-			fl.Flush()
+			if rc.Flush() != nil {
+				return
+			}
 		case <-r.Context().Done():
 			return
 		case <-s.ctx.Done():

@@ -318,8 +318,9 @@ type Service struct {
 	dagMemoHits    int64
 	// streamPurged counts results whose bytes were dropped early
 	// because the terminal event carrying them was delivered on the
-	// owner's SSE stream (ack-on-stream purge).
-	streamPurged int64
+	// owner's SSE stream (ack-on-stream purge). Atomic, not under mu:
+	// it moves once per delivered result.
+	streamPurged atomic.Int64
 }
 
 // inflightTask is the service-side record of one accepted task.
@@ -1885,21 +1886,20 @@ const streamPurgeGrace = 30 * time.Second
 // inline on the owner's event stream. Unlike purgeAfterRead it never
 // deletes immediately: the stored bytes survive for the configured
 // ResultTTL (or streamPurgeGrace when none is set) so concurrent
-// pollers of the same user can still retrieve them.
-func (s *Service) purgeAfterStream(id types.TaskID) {
+// pollers of the same user can still retrieve them. It reports whether
+// this call scheduled the cleanup: false for a result some other
+// stream (or a read) already scheduled, or that is gone.
+func (s *Service) purgeAfterStream(id types.TaskID) bool {
 	ttl := s.cfg.ResultTTL
 	if ttl <= 0 {
 		ttl = streamPurgeGrace
 	}
-	if b, ok := s.Store.Hash(resultsHash).Get(string(id)); ok {
-		s.Store.Hash(resultsHash).SetTTL(string(id), b, ttl)
-		if tb, ok := s.Store.Hash(tasksHash).Get(string(id)); ok {
-			s.Store.Hash(tasksHash).SetTTL(string(id), tb, ttl)
-		}
-		if o, ok := s.Store.Hash(ownersHash).Get(string(id)); ok {
-			s.Store.Hash(ownersHash).SetTTL(string(id), o, ttl)
-		}
+	if !s.Store.Hash(resultsHash).Expire(string(id), ttl) {
+		return false
 	}
+	s.Store.Hash(tasksHash).Expire(string(id), ttl)
+	s.Store.Hash(ownersHash).Expire(string(id), ttl)
+	return true
 }
 
 // mintTaskID generates a task id. A sharded service mints ids its own
@@ -1934,7 +1934,7 @@ func (s *Service) StatsSnapshot() api.StatsResponse {
 		DAGsEvicted: s.dagsEvicted,
 		DAGNodes:    s.dagNodes, DAGReleases: s.dagReleases,
 		DAGDepFailures: s.dagDepFailures, DAGMemoShortcut: s.dagMemoHits,
-		StreamPurged: s.streamPurged,
+		StreamPurged: s.streamPurged.Load(),
 	}
 	s.mu.Unlock()
 	resp.DAGsActive = s.DAGsActive()

@@ -86,6 +86,30 @@ func (h *Hash) SetTTL(field string, value []byte, ttl time.Duration) {
 	}
 }
 
+// Expire gives field a ttl if it exists and has no expiry yet, and
+// reports whether it did: of any number of callers racing to schedule
+// one field's removal, exactly one is told true. The value is
+// untouched, so the watcher does not run; the journal records the same
+// field-with-expiry entry SetTTL would.
+func (h *Hash) Expire(field string, ttl time.Duration) bool {
+	if h.j != nil {
+		h.j.lock()
+		defer h.j.unlock()
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	e, ok := h.fields[field]
+	if !ok || !e.expiry.IsZero() {
+		return false
+	}
+	e.expiry = h.now().Add(ttl)
+	h.fields[field] = e
+	if h.j != nil {
+		h.j.record(encodeHSet(h.name, field, e.value, e.expiry))
+	}
+	return true
+}
+
 // SetWatch installs a single observer invoked synchronously after
 // every Set/SetTTL with the stored field and value — the completion
 // hook the service uses to drive its task event bus off result-hash

@@ -10,24 +10,26 @@ import (
 	"funcx/internal/types"
 )
 
-// Binary frames for the three per-task records (see the package
-// comment for the layout). The encoders emit fields in tag order and
-// omit zero values, so a record has exactly one encoding and
-// Encode(Decode(b)) is a fixed point for any b a decoder accepts.
+// Binary frames for the per-task records (see the package comment for
+// the layout). The encoders emit fields in tag order and omit zero
+// values, so a record has exactly one encoding and Encode(Decode(b))
+// is a fixed point for any b a decoder accepts.
 
 // Format bytes. None is '{' or '[': a record written by the JSON codec
 // this one replaced is recognised by its first byte and rejected with
 // ErrLegacyJSON.
 const (
-	formatTask   byte = 0x01
-	formatTasks  byte = 0x02
-	formatResult byte = 0x03
+	formatTask      byte = 0x01
+	formatTasks     byte = 0x02
+	formatResult    byte = 0x03
+	formatCapacity  byte = 0x04
+	formatTaskStart byte = 0x05
 )
 
-// ErrLegacyJSON is returned (wrapped) by DecodeTask, DecodeTasks and
-// DecodeResult for a record in the JSON encoding used before binary
-// frames. There is no fallback decoder: a data dir holding such
-// records was written by an older build and is not readable.
+// ErrLegacyJSON is returned (wrapped) by every frame decoder for a
+// record in the JSON encoding used before binary frames. There is no
+// fallback decoder: a data dir holding such records was written by an
+// older build and is not readable.
 var ErrLegacyJSON = errors.New("legacy JSON record (written before binary frames)")
 
 // errFrame is the cause of every malformed-frame error.
@@ -76,6 +78,26 @@ const (
 const (
 	resultMemoized byte = 1 << iota
 	resultLost
+)
+
+// capacityTag names one header field of a capacity frame.
+type capacityTag byte
+
+const (
+	tagCapacityManager capacityTag = iota + 1
+	tagCapacityFree                // repeated, sorted by key: uvarint key length | key | varint count
+	tagCapacitySlots
+	tagCapacityPrefetch
+	tagCapacityTotal
+)
+
+// taskStartTag names one header field of an execution-start frame.
+type taskStartTag byte
+
+const (
+	tagTaskStartTaskID taskStartTag = iota + 1
+	tagTaskStartWorker
+	tagTaskStartManager
 )
 
 // --- encoding ---
@@ -144,6 +166,25 @@ func appendTime(b []byte, tag byte, t time.Time) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(t.Nanosecond()))
 }
 
+// appendSortedKeys appends m's keys to dst in order: a map field is
+// written sorted so that a record has one encoding.
+func appendSortedKeys[V any](dst []string, m map[string]V) []string {
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// appendKeyed writes one entry of a map field: the key behind its
+// length, then the value to the end of the field.
+func appendKeyed[V string | []byte](b []byte, tag byte, k string, v V) []byte {
+	var kl [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(kl[:], uint64(len(k)))
+	b = appendField(b, tag, n+len(k)+len(v))
+	return append(append(append(b, kl[:n]...), k...), v...)
+}
+
 // headerRoom is the stack space a header is built in before its frame
 // is allocated; a longer header (a long error, many selectors) spills
 // to the heap.
@@ -157,18 +198,9 @@ func appendTaskHeader(b []byte, t *types.Task) []byte {
 	b = appendString(b, byte(tagTaskContainerTech), string(t.Container.Tech))
 	b = appendString(b, byte(tagTaskContainerImage), t.Container.Image)
 	b = appendString(b, byte(tagTaskGroup), string(t.GroupID))
-	if len(t.Selector) > 0 {
-		keys := make([]string, 0, len(t.Selector))
-		for k := range t.Selector {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			v := t.Selector[k]
-			kl := binary.AppendUvarint(nil, uint64(len(k)))
-			b = appendField(b, byte(tagTaskSelector), len(kl)+len(k)+len(v))
-			b = append(append(append(b, kl...), k...), v...)
-		}
+	var keys [4]string
+	for _, k := range appendSortedKeys(keys[:0], t.Selector) {
+		b = appendKeyed(b, byte(tagTaskSelector), k, t.Selector[k])
 	}
 	b = appendString(b, byte(tagTaskBodyHash), t.BodyHash)
 	var flags byte
@@ -241,6 +273,32 @@ func EncodeResult(r *types.Result) []byte {
 		b = appendInts(b, byte(tagResultTrace), int64(r.Trace.Exec), int64(r.Trace.ManagerQueue), int64(r.Trace.AgentQueue))
 	}
 	return frame(formatResult, b, r.Output)
+}
+
+// EncodeCapacity frames a capacity advertisement: a header and no
+// body. An empty Free is not written and decodes as nil.
+func EncodeCapacity(c *types.Capacity) []byte {
+	var scratch [headerRoom]byte
+	b := appendString(scratch[:0], byte(tagCapacityManager), string(c.ManagerID))
+	var keys [4]string
+	for _, k := range appendSortedKeys(keys[:0], c.Free) {
+		var n [binary.MaxVarintLen64]byte
+		b = appendKeyed(b, byte(tagCapacityFree), k, binary.AppendVarint(n[:0], int64(c.Free[k])))
+	}
+	b = appendInt(b, byte(tagCapacitySlots), int64(c.Slots))
+	b = appendInt(b, byte(tagCapacityPrefetch), int64(c.Prefetch))
+	b = appendInt(b, byte(tagCapacityTotal), int64(c.Total))
+	return frame(formatCapacity, b, nil)
+}
+
+// EncodeTaskStart frames an execution-start signal: a header and no
+// body.
+func EncodeTaskStart(s *TaskStart) []byte {
+	var scratch [headerRoom]byte
+	b := appendString(scratch[:0], byte(tagTaskStartTaskID), string(s.TaskID))
+	b = appendString(b, byte(tagTaskStartWorker), string(s.WorkerID))
+	b = appendString(b, byte(tagTaskStartManager), string(s.ManagerID))
+	return frame(formatTaskStart, b, nil)
 }
 
 // --- decoding ---
@@ -320,6 +378,25 @@ func ints(tag byte, v []byte, dst ...*int64) error {
 	return nil
 }
 
+// openHeaderFrame opens a frame that carries no body.
+func openHeaderFrame(data []byte, format byte) (header []byte, err error) {
+	header, body, err := openFrame(data, format)
+	if err == nil && len(body) != 0 {
+		err = fmt.Errorf("%w: %d body bytes in a frame that has no body", errFrame, len(body))
+	}
+	return header, err
+}
+
+// keyLen reads the key length that opens an entry of a map field and
+// returns the bounds of the key within v.
+func keyLen(tag byte, v []byte) (lo, hi int, err error) {
+	kl, w := binary.Uvarint(v)
+	if w <= 0 || kl > uint64(len(v)-w) {
+		return 0, 0, fmt.Errorf("%w: field %d: bad key length", errFrame, tag)
+	}
+	return w, w + int(kl), nil
+}
+
 func flagsOf(tag byte, v []byte, known byte) (byte, error) {
 	if len(v) != 1 || v[0]&^known != 0 {
 		return 0, fmt.Errorf("%w: field %d: bad flags % x", errFrame, tag, v)
@@ -373,14 +450,14 @@ func decodeTask(data []byte) (*types.Task, error) {
 		case tagTaskGroup:
 			t.GroupID = types.GroupID(s)
 		case tagTaskSelector:
-			kl, w := binary.Uvarint(v)
-			if w <= 0 || kl > uint64(len(v)-w) {
-				return nil, fmt.Errorf("%w: field %d: bad selector key length", errFrame, tag)
+			klo, khi, err := keyLen(tag, v)
+			if err != nil {
+				return nil, err
 			}
 			if t.Selector == nil {
 				t.Selector = make(map[string]string)
 			}
-			t.Selector[s[w:w+int(kl)]] = s[w+int(kl):]
+			t.Selector[s[klo:khi]] = s[khi:]
 		case tagTaskBodyHash:
 			t.BodyHash = s
 		case tagTaskFlags:
@@ -532,4 +609,105 @@ func decodeResult(data []byte) (*types.Result, error) {
 		}
 	}
 	return r, nil
+}
+
+// DecodeCapacity unframes a capacity advertisement.
+func DecodeCapacity(data []byte) (*types.Capacity, error) {
+	c, err := decodeCapacity(data)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding capacity: %w", err)
+	}
+	return c, nil
+}
+
+func decodeCapacity(data []byte) (*types.Capacity, error) {
+	header, err := openHeaderFrame(data, formatCapacity)
+	if err != nil {
+		return nil, err
+	}
+	c := &types.Capacity{}
+	// One copy of the header backs the manager id and the Free keys: an
+	// advertisement is replaced by the manager's next one.
+	strs := string(header)
+	for off := 0; off < len(header); {
+		tag, lo, hi, err := nextField(header, off)
+		if err != nil {
+			return nil, err
+		}
+		s, v := strs[lo:hi], header[lo:hi]
+		off = hi
+		var n int64
+		//funcx:exhaustive funcx/internal/wire.capacityTag
+		switch capacityTag(tag) {
+		case tagCapacityManager:
+			c.ManagerID = types.ManagerID(s)
+		case tagCapacityFree:
+			klo, khi, err := keyLen(tag, v)
+			if err != nil {
+				return nil, err
+			}
+			if err := ints(tag, v[khi:], &n); err != nil {
+				return nil, err
+			}
+			if c.Free == nil {
+				c.Free = make(map[string]int)
+			}
+			c.Free[s[klo:khi]] = int(n)
+		case tagCapacitySlots:
+			err = ints(tag, v, &n)
+			c.Slots = int(n)
+		case tagCapacityPrefetch:
+			err = ints(tag, v, &n)
+			c.Prefetch = int(n)
+		case tagCapacityTotal:
+			err = ints(tag, v, &n)
+			c.Total = int(n)
+		default:
+			return nil, fmt.Errorf("%w: unknown capacity field %d", errFrame, tag)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// DecodeTaskStart unframes an execution-start signal.
+func DecodeTaskStart(data []byte) (*TaskStart, error) {
+	s, err := decodeTaskStart(data)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding task start: %w", err)
+	}
+	return s, nil
+}
+
+func decodeTaskStart(data []byte) (*TaskStart, error) {
+	header, err := openHeaderFrame(data, formatTaskStart)
+	if err != nil {
+		return nil, err
+	}
+	ts := &TaskStart{}
+	// One copy of the header backs all three ids: the signal is dropped
+	// once the forwarder has re-armed the lease and told the service.
+	strs := string(header)
+	for off := 0; off < len(header); {
+		tag, lo, hi, err := nextField(header, off)
+		if err != nil {
+			return nil, err
+		}
+		s := strs[lo:hi]
+		off = hi
+		//funcx:exhaustive funcx/internal/wire.taskStartTag
+		switch taskStartTag(tag) {
+		case tagTaskStartTaskID:
+			ts.TaskID = types.TaskID(s)
+		case tagTaskStartWorker:
+			ts.WorkerID = types.WorkerID(s)
+		case tagTaskStartManager:
+			ts.ManagerID = types.ManagerID(s)
+		default:
+			return nil, fmt.Errorf("%w: unknown task start field %d", errFrame, tag)
+		}
+	}
+	return ts, nil
 }

@@ -70,40 +70,36 @@ func filled[T any](t *testing.T) *T {
 	return &x
 }
 
-func roundTripTask(t *testing.T, in *types.Task) {
+// roundTrip requires decode(encode(in)) to equal in, field for field.
+func roundTrip[T any](t *testing.T, in *T, encode func(*T) []byte, decode func([]byte) (*T, error)) {
 	t.Helper()
-	out, err := DecodeTask(EncodeTask(in))
+	out, err := decode(encode(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("task round trip:\n got %+v\nwant %+v", out, in)
+		t.Fatalf("%T round trip:\n got %+v\nwant %+v", in, out, in)
 	}
 }
 
-func roundTripResult(t *testing.T, in *types.Result) {
-	t.Helper()
-	out, err := DecodeResult(EncodeResult(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("result round trip:\n got %+v\nwant %+v", out, in)
-	}
-}
-
-// Every exported field of types.Task and types.Result, nested structs
-// included, survives a round trip: a field added to either struct
-// without an arm in the codec fails here.
+// Every exported field of the framed records, nested structs included,
+// survives a round trip: a field added to any of them without an arm
+// in the codec fails here.
 func TestEveryFieldRoundTrips(t *testing.T) {
-	roundTripTask(t, filled[types.Task](t))
-	roundTripTask(t, &types.Task{})
-	roundTripTask(t, &types.Task{Trace: &types.TraceContext{}, BatchN: -3, Walltime: -time.Second})
-	roundTripTask(t, &types.Task{Submitted: time.Unix(-1, 999_999_999).UTC()})
+	roundTrip(t, filled[types.Task](t), EncodeTask, DecodeTask)
+	roundTrip(t, &types.Task{}, EncodeTask, DecodeTask)
+	roundTrip(t, &types.Task{Trace: &types.TraceContext{}, BatchN: -3, Walltime: -time.Second}, EncodeTask, DecodeTask)
+	roundTrip(t, &types.Task{Submitted: time.Unix(-1, 999_999_999).UTC()}, EncodeTask, DecodeTask)
 
-	roundTripResult(t, filled[types.Result](t))
-	roundTripResult(t, &types.Result{})
-	roundTripResult(t, &types.Result{Trace: &types.TraceDeltas{}, Timing: types.Timing{TW: -1}})
+	roundTrip(t, filled[types.Result](t), EncodeResult, DecodeResult)
+	roundTrip(t, &types.Result{}, EncodeResult, DecodeResult)
+	roundTrip(t, &types.Result{Trace: &types.TraceDeltas{}, Timing: types.Timing{TW: -1}}, EncodeResult, DecodeResult)
+
+	roundTrip(t, filled[types.Capacity](t), EncodeCapacity, DecodeCapacity)
+	roundTrip(t, &types.Capacity{}, EncodeCapacity, DecodeCapacity)
+	roundTrip(t, &types.Capacity{Free: map[string]int{"": -1, "none": 0}, Slots: -2}, EncodeCapacity, DecodeCapacity)
+	roundTrip(t, filled[TaskStart](t), EncodeTaskStart, DecodeTaskStart)
+	roundTrip(t, &TaskStart{}, EncodeTaskStart, DecodeTaskStart)
 
 	in := []*types.Task{filled[types.Task](t), {}, {ID: "c", Payload: []byte("x")}}
 	out, err := DecodeTasks(EncodeTasks(in))
@@ -159,7 +155,7 @@ func TestDecodeAliasesInput(t *testing.T) {
 	}
 }
 
-// decoders drives the three frame decoders alike.
+// decoders drives the frame decoders alike.
 var decoders = []struct {
 	name   string
 	frame  func(*testing.T) []byte
@@ -171,6 +167,33 @@ var decoders = []struct {
 		func(b []byte) error { _, err := DecodeTasks(b); return err }},
 	{"result", func(t *testing.T) []byte { return EncodeResult(filled[types.Result](t)) },
 		func(b []byte) error { _, err := DecodeResult(b); return err }},
+	{"capacity", func(t *testing.T) []byte { return EncodeCapacity(filled[types.Capacity](t)) },
+		func(b []byte) error { _, err := DecodeCapacity(b); return err }},
+	{"taskstart", func(t *testing.T) []byte { return EncodeTaskStart(filled[TaskStart](t)) },
+		func(b []byte) error { _, err := DecodeTaskStart(b); return err }},
+}
+
+// A frame that has no body refuses one, and every decoder refuses a
+// tag it does not know.
+func TestBodyAndUnknownTagsFail(t *testing.T) {
+	for _, format := range []byte{formatCapacity, formatTaskStart} {
+		withBody := appendFrame(nil, format, nil, []byte("x"))
+		_, errCapacity := DecodeCapacity(withBody)
+		_, errStart := DecodeTaskStart(withBody)
+		if errCapacity == nil || errStart == nil {
+			t.Fatalf("format %#x: accepted a body (capacity %v, task start %v)", format, errCapacity, errStart)
+		}
+	}
+	for _, d := range decoders {
+		if d.name == "tasks" {
+			continue // a batch has no header of its own
+		}
+		enc := d.frame(t)
+		unknown := appendFrame(nil, enc[0], []byte{0x7f, 0}, nil)
+		if err := d.decode(unknown); err == nil {
+			t.Fatalf("%s: accepted unknown field 0x7f", d.name)
+		}
+	}
 }
 
 // Every proper prefix of a frame, and a frame with a byte after it,
@@ -228,6 +251,8 @@ func TestLegacyJSONIsNamed(t *testing.T) {
 		`{"task_id":"t1","function_id":"f","endpoint_id":"e","payload":"AAEC"}`,
 		`[{"task_id":"a","payload":null}]`,
 		`{"task_id":"t1","output":"Im9rIg=="}`,
+		`{"manager_id":"m1","free":{"none":2},"total":4}`,
+		`{"task_id":"t1","worker_id":"w1"}`,
 	} {
 		for _, d := range decoders {
 			if err := d.decode([]byte(legacy)); !errors.Is(err, ErrLegacyJSON) {
@@ -250,5 +275,14 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 	res.Output = make([]byte, 64<<10)
 	if n := testing.AllocsPerRun(100, func() { EncodeResult(res) }); n != 1 {
 		t.Fatalf("EncodeResult: %v allocations, want 1", n)
+	}
+	// The two header-only frames are sent once or more per task.
+	capacity := &types.Capacity{ManagerID: "m-1", Free: map[string]int{"none": 3, "docker:img": 1}, Slots: 2, Total: 8}
+	if n := testing.AllocsPerRun(100, func() { EncodeCapacity(capacity) }); n != 1 {
+		t.Fatalf("EncodeCapacity: %v allocations, want 1", n)
+	}
+	start := filled[TaskStart](t)
+	if n := testing.AllocsPerRun(100, func() { EncodeTaskStart(start) }); n != 1 {
+		t.Fatalf("EncodeTaskStart: %v allocations, want 1", n)
 	}
 }

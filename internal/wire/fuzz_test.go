@@ -125,6 +125,10 @@ func frameSeeds() map[string][]byte {
 		"tasks":       EncodeTasks([]*types.Task{seedTask, {ID: "t-2", Payload: []byte("y")}, {}}),
 		"result":      result,
 		"result_lost": EncodeResult(&types.Result{TaskID: "t-2", Err: "lease expired", Lost: true}),
+		"capacity": EncodeCapacity(&types.Capacity{
+			ManagerID: "m-1", Free: map[string]int{"none": 2, "docker:img:1": 0}, Slots: 3, Prefetch: 4, Total: 8,
+		}),
+		"taskstart": EncodeTaskStart(&TaskStart{TaskID: "t-1", WorkerID: "w-1", ManagerID: "m-1"}),
 		"event": EncodeEvent(&types.TaskEvent{
 			Seq: 7, TaskID: "t-1", Status: types.TaskSuccess, EndpointID: "ep-1", Result: result,
 			Time: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC),
@@ -161,7 +165,6 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"task_id":"t1","worker_id":"w1","manager_id":"m1"}`))
 	f.Add([]byte(`{"endpoint_id":"ep1","workers":4,"containers":["py"]}`))
 	f.Add([]byte(`{"task_id":"t1","status":"success","time":"2026-01-02T03:04:05.000000006Z"}`))
 	f.Add([]byte(`{"task_id":"t1","status":"success","result":"AwAAAAAAAAAA"}`))

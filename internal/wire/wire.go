@@ -2,32 +2,36 @@
 // funcX service, forwarders, endpoint agents, and managers, and kept
 // in the store and its WAL.
 //
-// The three per-task records — a task, a batch of tasks, a result —
-// are binary frames (frame.go). Payload and Output are opaque
-// serialized buffers (see internal/serial) that ride raw behind a
-// small header, so a hop routes, leases and re-stamps a record
-// without scanning its body (paper §4.6), and a decoder hands the
-// body out as a slice of its input instead of copying it:
+// The per-task records — a task, a batch of tasks, a result, and the
+// two signals a manager sends once or more per task, its capacity
+// advertisement and the execution-start signal — are binary frames
+// (frame.go). Payload and Output are opaque serialized buffers (see
+// internal/serial) that ride raw behind a small header, so a hop
+// routes, leases and re-stamps a record without scanning its body
+// (paper §4.6), and a decoder hands the body out as a slice of its
+// input instead of copying it:
 //
-//	task, result:
-//	  byte    format        0x01 task, 0x03 result
+//	task, result, capacity, task start:
+//	  byte    format        0x01 task, 0x03 result, 0x04 capacity,
+//	                        0x05 task start
 //	  uint32  header length
 //	  header  fields, each: byte tag | uvarint length | value
-//	  uint32  body length   everything left
+//	  uint32  body length   everything left; 0 for capacity and task
+//	                        start, which are all header
 //	  body    Payload / Output, raw
 //	batch:
 //	  byte    format        0x02
 //	  uvarint count
 //	  count × uint32 length | task frame
 //
-// Integers are big-endian; a field at its zero value is omitted. A
-// value whose first byte is '{' or '[' was written by the JSON codec
-// these frames replaced and fails to decode with ErrLegacyJSON.
+// Integers are big-endian; a field at its zero value is omitted and a
+// map field is one entry per key, sorted. A value whose first byte is
+// '{' or '[' was written by the JSON codec these frames replaced and
+// fails to decode with ErrLegacyJSON.
 //
 // Everything else here is off the per-task path and stays JSON:
-// registrations, capacity, advice, status, execution-start signals,
-// DAG records, and the task event that GET /v1/events streams (whose
-// Result field carries a result frame).
+// registrations, advice, status, DAG records, and the task event that
+// GET /v1/events streams (whose Result field carries a result frame).
 package wire
 
 import (
@@ -73,24 +77,6 @@ func DecodeRegistration(data []byte) (*Registration, error) {
 	return &r, nil
 }
 
-// EncodeCapacity frames a capacity advertisement.
-func EncodeCapacity(c *types.Capacity) []byte {
-	b, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("wire: marshaling capacity: %v", err))
-	}
-	return b
-}
-
-// DecodeCapacity unframes a capacity advertisement.
-func DecodeCapacity(data []byte) (*types.Capacity, error) {
-	var c types.Capacity
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("wire: decoding capacity: %w", err)
-	}
-	return &c, nil
-}
-
 // EncodeAdvice frames a scaling-advice push (service → endpoint,
 // piggybacked on forwarder heartbeats).
 func EncodeAdvice(a *types.ScalingAdvice) []byte {
@@ -114,27 +100,9 @@ func DecodeAdvice(data []byte) (*types.ScalingAdvice, error) {
 // signal a worker raises the moment it picks a task up, relayed
 // manager → agent → forwarder toward the service.
 type TaskStart struct {
-	TaskID    types.TaskID    `json:"task_id"`
-	WorkerID  types.WorkerID  `json:"worker_id,omitempty"`
-	ManagerID types.ManagerID `json:"manager_id,omitempty"`
-}
-
-// EncodeTaskStart frames an execution-start signal.
-func EncodeTaskStart(s *TaskStart) []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		panic(fmt.Sprintf("wire: marshaling task start: %v", err))
-	}
-	return b
-}
-
-// DecodeTaskStart unframes an execution-start signal.
-func DecodeTaskStart(data []byte) (*TaskStart, error) {
-	var s TaskStart
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("wire: decoding task start: %w", err)
-	}
-	return &s, nil
+	TaskID    types.TaskID
+	WorkerID  types.WorkerID
+	ManagerID types.ManagerID
 }
 
 // resultKey introduces the last member of an encoded event that

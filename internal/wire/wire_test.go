@@ -76,8 +76,11 @@ func TestDecodeGarbage(t *testing.T) {
 	if _, err := DecodeRegistration([]byte("[]")); err == nil {
 		t.Fatal("DecodeRegistration accepted wrong shape")
 	}
-	if _, err := DecodeCapacity([]byte("[1]")); err == nil {
-		t.Fatal("DecodeCapacity accepted wrong shape")
+	if _, err := DecodeCapacity(EncodeTaskStart(&TaskStart{TaskID: "t"})); err == nil {
+		t.Fatal("DecodeCapacity accepted a task start frame")
+	}
+	if _, err := DecodeTaskStart(EncodeCapacity(&types.Capacity{ManagerID: "m"})); err == nil {
+		t.Fatal("DecodeTaskStart accepted a capacity frame")
 	}
 	if _, err := DecodeStatus([]byte("x")); err == nil {
 		t.Fatal("DecodeStatus accepted garbage")
