@@ -5,11 +5,38 @@
 package api
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"time"
 
 	"funcx/internal/trace"
 	"funcx/internal/types"
+	"funcx/internal/wire"
 )
+
+// FrameMediaType names the binary encoding of the two per-task client
+// surfaces, where a payload or an output would otherwise travel as
+// base64 inside JSON. As the Content-Type of POST /v1/tasks it makes
+// the body a submission frame (EncodeSubmitFrame); as the Accept of
+// GET /v1/events it makes the response a stream of event frames
+// (internal/wire) under the same Content-Type. A request that does not
+// name it is served JSON and Server-Sent Events as before.
+const FrameMediaType = "application/vnd.funcx.frame"
+
+// IsFrameType reports whether a Content-Type or Accept header value
+// names FrameMediaType, alone or among others, parameters ignored.
+func IsFrameType(header string) bool {
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
+		part, _, _ = strings.Cut(part, ";")
+		if strings.TrimSpace(part) == FrameMediaType {
+			return true
+		}
+	}
+	return false
+}
 
 // RegisterFunctionRequest registers a function (POST /v1/functions).
 type RegisterFunctionRequest struct {
@@ -106,6 +133,58 @@ type SubmitRequest struct {
 	// internal/dag), and propagates a parent failure as a typed child
 	// failure. The task id is returned immediately.
 	DependsOn []types.TaskID `json:"depends_on,omitempty"`
+}
+
+// EncodeSubmitFrame is r as the body of a POST /v1/tasks of
+// FrameMediaType: a task frame holding the submission's fields and
+// nothing else, the payload raw behind its header. DependsOn has no
+// place in a task frame; a dependent submission goes as JSON.
+func EncodeSubmitFrame(r *SubmitRequest) []byte {
+	return wire.EncodeTask(&types.Task{
+		FunctionID: r.FunctionID, EndpointID: r.EndpointID, GroupID: r.GroupID,
+		Selector: r.Labels, Payload: r.Payload, Memoize: r.Memoize, BatchN: r.BatchN,
+		Walltime: r.Walltime, MaxRetries: r.MaxRetries, AtMostOnce: r.AtMostOnce,
+	})
+}
+
+// ErrServerField is returned by DecodeSubmitFrame for a frame that
+// sets a field only the service may write.
+var ErrServerField = errors.New("submission frame sets a server-owned field")
+
+// DecodeSubmitFrame reads a submission frame; the request's Payload
+// aliases data. The fields of a task that the service stamps at
+// placement (id, owner, body hash, container, attempt, submission time,
+// trace context) must be absent.
+func DecodeSubmitFrame(data []byte) (SubmitRequest, error) {
+	t, err := wire.DecodeTask(data)
+	if err != nil {
+		return SubmitRequest{}, err
+	}
+	var set string
+	switch {
+	case t.ID != "":
+		set = "id"
+	case t.Owner != "":
+		set = "owner"
+	case t.BodyHash != "":
+		set = "body hash"
+	case t.Container != (types.ContainerSpec{}):
+		set = "container"
+	case t.Attempt != 0:
+		set = "attempt"
+	case !t.Submitted.IsZero():
+		set = "submitted"
+	case t.Trace != nil:
+		set = "trace"
+	}
+	if set != "" {
+		return SubmitRequest{}, fmt.Errorf("%w: %s", ErrServerField, set)
+	}
+	return SubmitRequest{
+		FunctionID: t.FunctionID, EndpointID: t.EndpointID, GroupID: t.GroupID,
+		Labels: t.Selector, Payload: t.Payload, Memoize: t.Memoize, BatchN: t.BatchN,
+		Walltime: t.Walltime, MaxRetries: t.MaxRetries, AtMostOnce: t.AtMostOnce,
+	}, nil
 }
 
 // SubmitResponse returns the task id.

@@ -2,10 +2,13 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"funcx/internal/types"
+	"funcx/internal/wire"
 )
 
 func TestTimingConversionRoundTrip(t *testing.T) {
@@ -67,4 +70,78 @@ func stringContains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// A submission frame carries every field of a SubmitRequest but
+// DependsOn, byte for byte, and refuses each field a task has beyond
+// those: whoever adds a field to types.Task decides here which side of
+// that line it is on.
+func TestSubmitFrameRoundTrip(t *testing.T) {
+	in := SubmitRequest{
+		FunctionID: "f", EndpointID: "e", GroupID: "g", Labels: map[string]string{"site": "anl", "gpu": ""},
+		Payload: []byte{0, 1, '{', 0xff, '\n'}, Memoize: true, BatchN: 3,
+		Walltime: time.Minute, MaxRetries: 2, AtMostOnce: true,
+	}
+	if n := reflect.TypeFor[SubmitRequest]().NumField(); n != 11 {
+		t.Fatalf("SubmitRequest has %d fields: teach EncodeSubmitFrame and this test the new one", n)
+	}
+	out, err := DecodeSubmitFrame(EncodeSubmitFrame(&in))
+	if err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip = %+v, %v\nwant %+v", out, err, in)
+	}
+	if out, err = DecodeSubmitFrame(EncodeSubmitFrame(&SubmitRequest{})); err != nil || !reflect.DeepEqual(out, SubmitRequest{}) {
+		t.Fatalf("empty round trip = %+v, %v", out, err)
+	}
+
+	submission := map[string]bool{
+		"FunctionID": true, "EndpointID": true, "GroupID": true, "Selector": true, "Payload": true,
+		"Memoize": true, "BatchN": true, "Walltime": true, "MaxRetries": true, "AtMostOnce": true,
+	}
+	task := reflect.TypeFor[types.Task]()
+	for i := range task.NumField() {
+		if submission[task.Field(i).Name] {
+			continue
+		}
+		var owned types.Task
+		f := reflect.ValueOf(&owned).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int:
+			f.SetInt(1)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Struct:
+			if f.Type() == reflect.TypeFor[time.Time]() {
+				f.Set(reflect.ValueOf(time.Unix(1, 0)))
+			} else {
+				f.Field(0).SetString("x")
+			}
+		default:
+			t.Fatalf("types.Task.%s: field of kind %s", task.Field(i).Name, f.Kind())
+		}
+		if _, err := DecodeSubmitFrame(wire.EncodeTask(&owned)); !errors.Is(err, ErrServerField) {
+			t.Errorf("frame setting %s: %v, want ErrServerField", task.Field(i).Name, err)
+		}
+	}
+	if _, err := DecodeSubmitFrame([]byte(`{"function_id":"f"}`)); !errors.Is(err, wire.ErrLegacyJSON) {
+		t.Errorf("JSON under the frame type: %v, want ErrLegacyJSON", err)
+	}
+}
+
+func TestIsFrameType(t *testing.T) {
+	for header, want := range map[string]bool{
+		FrameMediaType:                               true,
+		" " + FrameMediaType + " ; q=1":              true,
+		"text/event-stream;q=0.5, " + FrameMediaType: true,
+		"":                   false,
+		"application/json":   false,
+		"text/event-stream":  false,
+		FrameMediaType + "x": false,
+		"*/*":                false,
+	} {
+		if got := IsFrameType(header); got != want {
+			t.Errorf("IsFrameType(%q) = %v, want %v", header, got, want)
+		}
+	}
 }

@@ -1,7 +1,7 @@
 // Package sdk is the funcX client SDK of paper §3, redesigned
 // futures-first around the service's task-events API: a wrapper over
 // the REST surface providing RegisterFunction, Submit, futures
-// (SubmitFuture / RunFuture / MapFuture, resolved by one shared SSE
+// (SubmitFuture / RunFuture / MapFuture, resolved by one shared event
 // stream consumer per client with batch-wait fallback), batched
 // result gathering (GetResults over POST /v1/tasks/wait), and the
 // user-driven batching Map command (fmap, §4.7). The Go client still
@@ -70,7 +70,7 @@ type Client struct {
 
 	// mu guards the lazily started stream consumers behind futures:
 	// one per service shard the client has submitted to (keyed by the
-	// shard's base URL; "" is the front door), so each future's SSE
+	// shard's base URL; "" is the front door), so each future's event
 	// stream is pinned to the shard that owns its task and publishes
 	// its events.
 	mu        sync.Mutex
@@ -135,23 +135,34 @@ func (c *Client) do(ctx context.Context, method, path string, reqBody, respBody 
 // door): the per-shard stream consumers keep their wait and poll
 // traffic on the shard that owns their tasks.
 func (c *Client) doAt(ctx context.Context, method, base, path string, reqBody, respBody any) (int, error) {
+	var body []byte
+	if reqBody != nil {
+		var err error
+		if body, err = json.Marshal(reqBody); err != nil {
+			return 0, fmt.Errorf("sdk: encoding request: %w", err)
+		}
+	}
+	return c.send(ctx, method, base, path, "application/json", body, respBody)
+}
+
+// send performs one authenticated request whose body (nil for none) is
+// already encoded as contentType, and decodes the JSON response.
+func (c *Client) send(ctx context.Context, method, base, path, contentType string, reqBody []byte, respBody any) (int, error) {
 	if base == "" {
 		base = c.baseURL
 	}
 	var body io.Reader
 	if reqBody != nil {
-		b, err := json.Marshal(reqBody)
-		if err != nil {
-			return 0, fmt.Errorf("sdk: encoding request: %w", err)
-		}
-		body = bytes.NewReader(b)
+		// A *bytes.Reader body can be replayed, which following a
+		// shard's 307 needs.
+		body = bytes.NewReader(reqBody)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
 		return 0, fmt.Errorf("sdk: building request: %w", err)
 	}
 	req.Header.Set("Authorization", "Bearer "+c.token)
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 
 	c.Lat.Delay() // client -> service
 	resp, err := c.httpc.Do(req)
@@ -423,15 +434,24 @@ func (c *Client) Submit(ctx context.Context, spec SubmitSpec) (types.TaskID, typ
 
 // submit is the raw submission carrying the full wire response,
 // including the owner-shard hint futures pin their event streams to.
+// The task goes as a submission frame, its payload copied once and
+// raw; only a dependent submission, a one-node graph and like
+// POST /v1/dags a JSON record end to end, goes as JSON.
 func (c *Client) submit(ctx context.Context, spec SubmitSpec) (api.SubmitResponse, error) {
-	var resp api.SubmitResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/tasks", api.SubmitRequest{
+	req := api.SubmitRequest{
 		FunctionID: spec.Function, EndpointID: spec.Endpoint, GroupID: spec.Group,
 		Payload: spec.Payload, Labels: spec.Labels,
 		Memoize: spec.Memoize, BatchN: spec.BatchN,
 		Walltime: spec.Walltime, MaxRetries: spec.MaxRetries, AtMostOnce: spec.AtMostOnce,
 		DependsOn: spec.DependsOn,
-	}, &resp)
+	}
+	var resp api.SubmitResponse
+	var err error
+	if len(spec.DependsOn) > 0 {
+		_, err = c.do(ctx, http.MethodPost, "/v1/tasks", req, &resp)
+	} else {
+		_, err = c.send(ctx, http.MethodPost, "", "/v1/tasks", api.FrameMediaType, api.EncodeSubmitFrame(&req), &resp)
+	}
 	return resp, err
 }
 

@@ -1,11 +1,10 @@
 package sdk
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"iter"
 	"net/http"
 	"strconv"
@@ -19,10 +18,11 @@ import (
 )
 
 // Future is a handle on one submitted task's eventual result. Futures
-// are resolved by the client's single shared stream consumer: one SSE
-// connection (GET /v1/events) carries every task's terminal event, so
-// N outstanding futures cost one HTTP request, not N long-polls. When
-// the server cannot stream, the consumer falls back to batched waits
+// are resolved by the client's single shared stream consumer: one
+// connection (GET /v1/events, as binary event frames) carries every
+// task's terminal event with its result, so N outstanding futures cost
+// one HTTP request, not N long-polls. When the server cannot stream
+// frames, the consumer falls back to batched waits
 // (POST /v1/tasks/wait), and on servers with neither API to bounded
 // per-task long-polls — the future's surface is the same either way.
 type Future struct {
@@ -195,14 +195,14 @@ func (c *Client) mapFutureOf(h *MapHandle) (*MapFuture, error) {
 // --- the shared stream consumer ---
 
 // streamer is the per-client background consumer resolving futures:
-// one SSE subscription for all of the user's task events, with
+// one framed event subscription for all of the user's completions, with
 // automatic reconnect (Last-Event-ID resume), a batched-wait catch-up
 // for registration races and replay gaps, and a full batched-wait
 // fallback when the server cannot stream.
 type streamer struct {
 	c *Client
 	// base is the shard base URL this consumer is pinned to ("" = the
-	// client's front door): its SSE subscription, batched waits, and
+	// client's front door): its event subscription, batched waits, and
 	// fallback polls all target the shard that owns its tasks.
 	base   string
 	ctx    context.Context
@@ -237,10 +237,11 @@ type streamer struct {
 	// once its inline event is delivered on the owner's stream
 	// (ack-on-stream), so the event bytes may be the only copy left —
 	// dropping them would strand a late-registered future. Bounded
-	// FIFO (stashOrder) so tasks that never register cannot pin
-	// unbounded memory.
+	// FIFO (stashOrder) in count and in bytes of Output (stashBytes),
+	// so tasks that never register cannot pin unbounded memory.
 	stash      map[types.TaskID]*Result
 	stashOrder []types.TaskID
+	stashBytes int
 	// stopped marks the consumer shut down: late registrations (a
 	// SubmitFuture racing Close) resolve with ErrClosed instead of
 	// landing in a map nothing drains.
@@ -329,8 +330,7 @@ func (st *streamer) register(f *Future, began time.Time) {
 	}
 	// A stashed result means the terminal event already arrived on the
 	// stream (and its store copy may be purged): resolve immediately.
-	if res, ok := st.stash[f.id]; ok {
-		delete(st.stash, f.id)
+	if res, ok := st.unstash(f.id); ok {
 		st.mu.Unlock()
 		f.resolve(res, nil)
 		return
@@ -371,8 +371,24 @@ func (st *streamer) wake() {
 	}
 }
 
-// stashCap bounds the unmatched-result stash per consumer.
-const stashCap = 4096
+// stashCap and stashMaxBytes bound the unmatched-result stash per
+// consumer: in results, and in bytes of their outputs. A client whose
+// user has busy sibling clients stashes every result of theirs.
+const (
+	stashCap      = 4096
+	stashMaxBytes = 64 << 20
+)
+
+// unstash removes and returns id's stashed result. The caller holds
+// st.mu.
+func (st *streamer) unstash(id types.TaskID) (*Result, bool) {
+	res, ok := st.stash[id]
+	if ok {
+		delete(st.stash, id)
+		st.stashBytes -= len(res.Output)
+	}
+	return res, ok
+}
 
 // resolveOrStash routes one terminal result to its registered future,
 // stashing results for tasks with no future yet. The stash matters
@@ -390,18 +406,15 @@ func (st *streamer) resolveOrStash(id types.TaskID, res *Result) {
 		delete(st.futures, id)
 		delete(st.verify, id)
 	} else if _, dup := st.stash[id]; !dup {
-		// Pop stale order entries (ids already taken by a poll or a
-		// registration) before evicting a live one.
-		for len(st.stashOrder) >= stashCap {
-			victim := st.stashOrder[0]
+		// Make room, oldest first; an order entry whose id was already
+		// taken by a poll or a registration frees nothing but itself.
+		for len(st.stashOrder) > 0 && (len(st.stashOrder) >= stashCap || st.stashBytes+len(res.Output) > stashMaxBytes) {
+			st.unstash(st.stashOrder[0])
 			st.stashOrder = st.stashOrder[1:]
-			if _, live := st.stash[victim]; live {
-				delete(st.stash, victim)
-				break
-			}
 		}
 		st.stash[id] = res
 		st.stashOrder = append(st.stashOrder, id)
+		st.stashBytes += len(res.Output)
 	}
 	st.mu.Unlock()
 	if ok {
@@ -424,10 +437,7 @@ func (c *Client) takeStashed(id types.TaskID) (*Result, bool) {
 	c.mu.Unlock()
 	for _, st := range sts {
 		st.mu.Lock()
-		res, ok := st.stash[id]
-		if ok {
-			delete(st.stash, id)
-		}
+		res, ok := st.unstash(id)
 		st.mu.Unlock()
 		if ok {
 			return res, true
@@ -469,7 +479,7 @@ func (st *streamer) failAll(err error) {
 	}
 }
 
-// streamLoop keeps one SSE subscription alive, reconnecting with
+// streamLoop keeps one event subscription alive, reconnecting with
 // Last-Event-ID after drops; when the server has no event stream it
 // degrades to the batched-wait engine for the client's lifetime.
 func (st *streamer) streamLoop() {
@@ -503,10 +513,14 @@ func (st *streamer) streamLoop() {
 	}
 }
 
-// streamOnce opens one SSE subscription and consumes it until the
-// connection drops. lastSeq carries the resume position across calls;
-// it is reset to zero (resubscribe from now + reconcile) on a replay
-// gap.
+// maxStreamResult bounds the result the consumer takes off the stream;
+// a larger one is fetched like a replayed event's (see handleEvent).
+const maxStreamResult = 8 << 20
+
+// streamOnce opens one subscription to the framed event stream and
+// consumes it until the connection drops. lastSeq carries the resume
+// position across calls; it is reset to zero (resubscribe from now +
+// reconcile) on a replay gap.
 func (st *streamer) streamOnce(lastSeq *uint64) error {
 	c := st.c
 	base := st.base
@@ -519,7 +533,7 @@ func (st *streamer) streamOnce(lastSeq *uint64) error {
 		return err
 	}
 	req.Header.Set("Authorization", "Bearer "+c.token)
-	req.Header.Set("Accept", "text/event-stream")
+	req.Header.Set("Accept", api.FrameMediaType)
 	if *lastSeq > 0 {
 		req.Header.Set("Last-Event-ID", strconv.FormatUint(*lastSeq, 10))
 	}
@@ -533,6 +547,9 @@ func (st *streamer) streamOnce(lastSeq *uint64) error {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
+		if ct := resp.Header.Get("Content-Type"); !api.IsFrameType(ct) {
+			return fmt.Errorf("%w: GET /v1/events answered %q, not %s", ErrUnsupported, ct, api.FrameMediaType)
+		}
 	case http.StatusNotFound, http.StatusMethodNotAllowed:
 		return fmt.Errorf("%w: GET /v1/events: HTTP %d", ErrUnsupported, resp.StatusCode)
 	case http.StatusGone:
@@ -551,55 +568,26 @@ func (st *streamer) streamOnce(lastSeq *uint64) error {
 	defer st.setCovered(false)
 	st.enqueueVerifyAll()
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 8<<20)
-	var event string
-	// data is reused from event to event: a scanned line is valid only
-	// until the next Scan, so it is copied here once, and DecodeEvent
-	// keeps nothing of its input.
-	var data []byte
-	var id uint64
-	for sc.Scan() {
-		line := sc.Bytes()
+	frames := wire.NewEventReader(resp.Body, maxStreamResult)
+	for {
+		ev, err := frames.Next()
 		switch {
-		case len(line) == 0:
-			if event == "gap" {
-				*lastSeq = 0
-				st.setCovered(true)
-				st.enqueueVerifyAll()
-			} else if len(data) > 0 {
-				if ev, err := wire.DecodeEvent(data); err == nil {
-					if ev.Seq > 0 {
-						*lastSeq = ev.Seq
-					} else if id > 0 {
-						*lastSeq = id
-					}
-					st.handleEvent(ev)
-				}
-			}
-			event, data, id = "", data[:0], 0
-		case line[0] == ':':
-			// Heartbeat comment.
-		case bytes.HasPrefix(line, []byte("id:")):
-			id, _ = strconv.ParseUint(string(bytes.TrimSpace(line[3:])), 10, 64)
-		case bytes.HasPrefix(line, []byte("event:")):
-			event = string(bytes.TrimSpace(line[6:]))
-		case bytes.HasPrefix(line, []byte("data:")):
-			if len(data) > 0 {
-				data = append(data, '\n')
-			}
-			data = append(data, bytes.TrimPrefix(line[5:], []byte(" "))...)
+		case errors.Is(err, wire.ErrEventGap):
+			// The server could not resume us in place and has ended the
+			// stream: resubscribe from now, which reconciles everything
+			// pending.
+			*lastSeq = 0
+			return nil
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
 		}
+		if ev.Seq > 0 {
+			*lastSeq = ev.Seq
+		}
+		st.handleEvent(ev)
 	}
-	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
-		// An event frame larger than the scan buffer would be replayed
-		// verbatim on a Last-Event-ID reconnect, poisoning the stream
-		// forever. Skip past it: resubscribe from now and reconcile
-		// everything pending via batched wait.
-		*lastSeq = 0
-		st.enqueueVerifyAll()
-	}
-	return sc.Err()
 }
 
 // handleEvent routes one decoded stream event.
@@ -717,9 +705,9 @@ func (st *streamer) verifyLoop() {
 	}
 }
 
-// fallbackLoop is the engine for servers without SSE: pending futures
-// are resolved by repeated batched waits, one blocking request per
-// round for the whole set.
+// fallbackLoop is the engine for servers without a framed event
+// stream: pending futures are resolved by repeated batched waits, one
+// blocking request per round for the whole set.
 func (st *streamer) fallbackLoop() {
 	backoff := st.c.PollInterval
 	for {

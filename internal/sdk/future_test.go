@@ -93,21 +93,6 @@ func TestFutureSurfacesRemoteFailure(t *testing.T) {
 	}
 }
 
-// sseless wraps a service with the event stream removed, simulating
-// an older server.
-func sseless(t *testing.T, svc *service.Service) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/events" {
-			http.NotFound(w, r)
-			return
-		}
-		svc.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 // A server that does not know the terminal parameter streams every
 // lifecycle event; the consumer drops what it did not ask for and
 // resolves from the completions all the same.
@@ -141,31 +126,59 @@ func TestFutureResolvesWhenServerIgnoresTerminalFilter(t *testing.T) {
 	}
 }
 
+// A server with no event stream, or one that answers a request for
+// frames with Server-Sent Events, leaves the consumer on batched waits.
 func TestFutureFallsBackToBatchWait(t *testing.T) {
-	c, svc := testClient(t)
-	srv := sseless(t, svc)
-	c2 := New(srv.URL, c.token)
-	c2.PollInterval = time.Millisecond
-	c2.WaitHint = 50 * time.Millisecond
-	t.Cleanup(c2.Close)
-	fnID, epID := fixture(t, c2)
-	ctx := getCtx(t)
+	for name, events := range map[string]func(*service.Service) http.HandlerFunc{
+		"no stream": func(*service.Service) http.HandlerFunc { return http.NotFound },
+		"SSE only": func(svc *service.Service) http.HandlerFunc {
+			return func(w http.ResponseWriter, r *http.Request) {
+				r.Header.Del("Accept")
+				svc.ServeHTTP(w, r)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, svc := testClient(t)
+			var waits atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/v1/events":
+					events(svc)(w, r)
+					return
+				case "/v1/tasks/wait":
+					waits.Add(1)
+				}
+				svc.ServeHTTP(w, r)
+			}))
+			t.Cleanup(srv.Close)
+			c2 := New(srv.URL, c.token)
+			c2.PollInterval = time.Millisecond
+			c2.WaitHint = 50 * time.Millisecond
+			t.Cleanup(c2.Close)
+			fnID, epID := fixture(t, c2)
+			ctx := getCtx(t)
 
-	f, err := c2.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		complete(svc, f.TaskID(), "fallback")
-	}()
-	res, err := f.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s string
-	if _, err := res.Value(&s); err != nil || s != "fallback" {
-		t.Fatalf("value = %q, %v", s, err)
+			f, err := c2.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				time.Sleep(30 * time.Millisecond)
+				complete(svc, f.TaskID(), "fallback")
+			}()
+			res, err := f.Get(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var s string
+			if _, err := res.Value(&s); err != nil || s != "fallback" {
+				t.Fatalf("value = %q, %v", s, err)
+			}
+			if waits.Load() == 0 {
+				t.Fatal("future resolved without a wait request: the fallback engine did not run")
+			}
+		})
 	}
 }
 
@@ -314,45 +327,39 @@ func TestMapFutureGathersPackedBatches(t *testing.T) {
 	}
 }
 
-// waitCounter serves svc and counts POST /v1/tasks/wait requests; it
-// also holds the consumer to asking for completions only.
-func waitCounter(t *testing.T, svc *service.Service) (*httptest.Server, *atomic.Int64) {
+// waitCounter serves svc and counts POST /v1/tasks/wait requests and
+// the event streams opened; it also holds the consumer to asking for
+// completions only, as frames.
+func waitCounter(t *testing.T, svc *service.Service) (srv *httptest.Server, waits, streams *atomic.Int64) {
 	t.Helper()
-	var waits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	waits, streams = new(atomic.Int64), new(atomic.Int64)
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/tasks/wait":
 			waits.Add(1)
 		case "/v1/events":
+			streams.Add(1)
 			if r.URL.RawQuery != api.EventsTerminalParam+"=1" {
 				t.Errorf("GET /v1/events?%s, want ?%s=1", r.URL.RawQuery, api.EventsTerminalParam)
+			}
+			if accept := r.Header.Get("Accept"); accept != api.FrameMediaType {
+				t.Errorf("GET /v1/events with Accept %q, want %s", accept, api.FrameMediaType)
+			}
+		case "/v1/tasks":
+			if ct := r.Header.Get("Content-Type"); ct != api.FrameMediaType {
+				t.Errorf("POST /v1/tasks as %q, want %s", ct, api.FrameMediaType)
 			}
 		}
 		svc.ServeHTTP(w, r)
 	}))
 	t.Cleanup(srv.Close)
-	return srv, &waits
+	return srv, waits, streams
 }
 
-// A task submitted under a subscription that was already live needs no
-// registration-time wait request: the stream (or the stash) delivers
-// its result. A future attached by id still gets one, as does
-// everything pending when a subscription begins.
-func TestSubmitFutureUnderLiveStreamSkipsVerify(t *testing.T) {
-	c0, svc := testClient(t)
-	srv, waits := waitCounter(t, svc)
-	c := New(srv.URL, c0.token)
-	c.WaitHint = time.Minute // keep the periodic sweep out of the count
-	t.Cleanup(c.Close)
-	fnID, epID := fixture(t, c)
-	ctx := getCtx(t)
-
-	// The first future starts the consumer; its subscription is fresh,
-	// so it is verified.
-	first, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
-	if err != nil {
-		t.Fatal(err)
-	}
+// awaitLive waits until c's front-door subscription is live and its
+// opening reconcile is done, and returns the wait requests so far.
+func awaitLive(t *testing.T, c *Client, waits *atomic.Int64) int64 {
+	t.Helper()
 	st, err := c.ensureStreamer("")
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +376,29 @@ func TestSubmitFutureUnderLiveStreamSkipsVerify(t *testing.T) {
 		}
 	}
 	time.Sleep(10 * time.Millisecond) // past the verifier's debounce
-	before := waits.Load()
+	return waits.Load()
+}
+
+// A task submitted under a subscription that was already live needs no
+// registration-time wait request: the stream (or the stash) delivers
+// its result. A future attached by id still gets one, as does
+// everything pending when a subscription begins.
+func TestSubmitFutureUnderLiveStreamSkipsVerify(t *testing.T) {
+	c0, svc := testClient(t)
+	srv, waits, _ := waitCounter(t, svc)
+	c := New(srv.URL, c0.token)
+	c.WaitHint = time.Minute // keep the periodic sweep out of the count
+	t.Cleanup(c.Close)
+	fnID, epID := fixture(t, c)
+	ctx := getCtx(t)
+
+	// The first future starts the consumer; its subscription is fresh,
+	// so it is verified.
+	first, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := awaitLive(t, c, waits)
 
 	for i := range 8 {
 		f, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
@@ -411,5 +440,189 @@ func TestSubmitFutureUnderLiveStreamSkipsVerify(t *testing.T) {
 		if _, err := f.Get(ctx); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A result too large to take off the stream is passed over without
+// ending the subscription, and its future resolves through the verify
+// path; the next completion arrives on the same stream.
+func TestOversizeStreamResultResolvesByVerify(t *testing.T) {
+	c0, svc := testClient(t)
+	srv, waits, streams := waitCounter(t, svc)
+	c := New(srv.URL, c0.token)
+	c.WaitHint = time.Minute
+	t.Cleanup(c.Close)
+	fnID, epID := fixture(t, c)
+	ctx := getCtx(t)
+
+	big, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := awaitLive(t, c, waits)
+	output := make([]byte, maxStreamResult+1)
+	output[len(output)-1] = 0x7f
+	svc.Store.Hash("results").Set(string(big.TaskID()), wire.EncodeResult(&types.Result{TaskID: big.TaskID(), Output: output, Completed: time.Now()}))
+	res, err := big.Get(ctx)
+	if err != nil || len(res.Output) != len(output) || res.Output[len(output)-1] != 0x7f {
+		t.Fatalf("oversize result = %d bytes, %v; want %d", len(res.Output), err, len(output))
+	}
+	if waits.Load() == before {
+		t.Fatal("an oversize result resolved without a wait request")
+	}
+
+	before = waits.Load()
+	small, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete(svc, small.TaskID(), "after")
+	if _, err := small.Get(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := streams.Load(); n != 1 {
+		t.Fatalf("%d event streams opened, want the one that passed over the oversize result", n)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if got := waits.Load(); got != before {
+		t.Fatalf("%d wait requests for a future submitted after the oversize result, want 0", got-before)
+	}
+}
+
+// Heartbeats, frames of other users' making and the gap signal on a
+// framed stream: the consumer ignores the first, and after the last
+// resubscribes from scratch and reconciles.
+func TestStreamHeartbeatsIgnoredAndGapResubscribes(t *testing.T) {
+	c0, svc := testClient(t)
+	var streams atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/events" {
+			svc.ServeHTTP(w, r)
+			return
+		}
+		if streams.Add(1) > 1 {
+			if id := r.Header.Get("Last-Event-ID"); id != "" {
+				t.Errorf("resubscribed after a gap with Last-Event-ID %s, want none", id)
+			}
+			svc.ServeHTTP(w, r)
+			return
+		}
+		// The first subscription: heartbeats around one event for a task
+		// nobody registered, then the gap signal and the end.
+		w.Header().Set("Content-Type", api.FrameMediaType)
+		stray := &types.TaskEvent{Seq: 41, TaskID: "stray", Status: types.TaskSuccess,
+			Result: wire.EncodeResult(&types.Result{TaskID: "stray", Output: []byte("x")})}
+		for _, piece := range [][]byte{
+			[]byte(wire.EventHeartbeat), []byte(wire.EventHeartbeat),
+			wire.AppendEventHead(nil, stray), stray.Result,
+			[]byte(wire.EventHeartbeat), []byte(wire.EventGap),
+		} {
+			w.Write(piece) //nolint:errcheck
+		}
+	}))
+	t.Cleanup(srv.Close)
+	c := New(srv.URL, c0.token)
+	t.Cleanup(c.Close)
+	fnID, epID := fixture(t, c)
+	ctx := getCtx(t)
+
+	f, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); streams.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("consumer did not resubscribe after the gap signal")
+		}
+	}
+	complete(svc, f.TaskID(), "after the gap")
+	res, err := f.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s string
+	if _, err := res.Value(&s); err != nil || s != "after the gap" {
+		t.Fatalf("value = %q, %v", s, err)
+	}
+	// The stray event was stashed, not dropped: its result is the only
+	// copy once the server has purged on delivery.
+	if res, ok := c.takeStashed("stray"); !ok || string(res.Output) != "x" {
+		t.Fatalf("stray completion = %+v, %v; want it stashed", res, ok)
+	}
+}
+
+// The stash is bounded in bytes as well as in results: a client whose
+// user has busy siblings holds at most stashMaxBytes of their outputs,
+// oldest evicted first, and a future attached to an evicted task still
+// resolves through the registration-time wait.
+func TestStashBoundedInBytes(t *testing.T) {
+	c0, svc := testClient(t)
+	srv, waits, _ := waitCounter(t, svc)
+	c := New(srv.URL, c0.token)
+	c.WaitHint = time.Minute
+	t.Cleanup(c.Close)
+	fnID, epID := fixture(t, c)
+	ctx := getCtx(t)
+
+	// One real task, finished before the consumer subscribes: the stream
+	// will never carry it, and its result stays on the server.
+	const results, size = 200, 1 << 20
+	first, _, err := c.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete(svc, first, "evicted")
+	st, err := c.ensureStreamer("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []types.TaskID{first}
+	for i := 1; i < results; i++ {
+		ids = append(ids, types.TaskID(fmt.Sprintf("sibling-%d", i)))
+	}
+	output := make([]byte, size)
+	for _, id := range ids {
+		st.resolveOrStash(id, &Result{TaskID: id, Output: output})
+		st.mu.Lock()
+		held, n := st.stashBytes, len(st.stash)
+		st.mu.Unlock()
+		if held > stashMaxBytes || held != n*size {
+			t.Fatalf("after %s the stash holds %d results and counts %d bytes, bound %d", id, n, held, stashMaxBytes)
+		}
+	}
+	st.mu.Lock()
+	_, oldest := st.stash[first]
+	_, newest := st.stash[ids[results-1]]
+	n := len(st.stash)
+	st.mu.Unlock()
+	if oldest || !newest || n != stashMaxBytes/size {
+		t.Fatalf("stash holds %d results (oldest %v, newest %v), want the newest %d", n, oldest, newest, stashMaxBytes/size)
+	}
+	// Taking a result gives its bytes back.
+	if _, ok := c.takeStashed(ids[results-1]); !ok {
+		t.Fatal("newest result not in the stash")
+	}
+	st.mu.Lock()
+	held := st.stashBytes
+	st.mu.Unlock()
+	if held != (n-1)*size {
+		t.Fatalf("stash counts %d bytes after a take, want %d", held, (n-1)*size)
+	}
+
+	before := waits.Load()
+	f, err := c.FutureOf(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s string
+	if _, err := res.Value(&s); err != nil || s != "evicted" {
+		t.Fatalf("value = %q, %v", s, err)
+	}
+	if waits.Load() == before {
+		t.Fatal("a future on an evicted result resolved without a wait request")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -19,26 +21,103 @@ import (
 	"funcx/internal/wire"
 )
 
-// openSSE connects to GET /v1/events, optionally resuming from
-// lastEventID, and pumps decoded events into the returned channel
-// (closed when the stream ends). The caller must close the response
-// body to end the stream.
-func openSSE(t *testing.T, srv *httptest.Server, token, lastEventID string) (<-chan types.TaskEvent, *http.Response) {
-	t.Helper()
-	return openSSEAt(t, srv, "/v1/events", token, lastEventID)
+// encoding is one of the two encodings of GET /v1/events as a client
+// meets it. The stream tests run once under each: the handler is one
+// piece of code, and only how an event is written differs.
+type encoding struct {
+	name        string
+	accept      string // the request's Accept header
+	contentType string // the response's Content-Type
+	heartbeat   string
+	// read decodes a stream until it ends, handing each event to emit,
+	// and reports whether it ended in the gap signal. A stream cut
+	// inside an event ends before that event.
+	read func(r io.Reader, emit func(types.TaskEvent)) (gap bool)
+}
+
+var encodings = []encoding{
+	{name: "sse", contentType: "text/event-stream", heartbeat: ": hb\n\n", read: readSSE},
+	{name: "frames", accept: api.FrameMediaType, contentType: api.FrameMediaType, heartbeat: wire.EventHeartbeat, read: readFrames},
+}
+
+// eachEncoding runs a stream test under both encodings.
+func eachEncoding(t *testing.T, test func(t *testing.T, enc encoding)) {
+	for _, enc := range encodings {
+		t.Run(enc.name, func(t *testing.T) { test(t, enc) })
+	}
+}
+
+func readSSE(r io.Reader, emit func(types.TaskEvent)) (gap bool) {
+	sc := bufio.NewScanner(r)
+	var data []byte
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			if len(data) > 0 {
+				if ev, err := wire.DecodeEvent(data); err == nil {
+					emit(*ev)
+				}
+			}
+			data = nil
+		case line == "event: gap":
+			gap = true
+		case strings.HasPrefix(line, "data:"):
+			data = []byte(strings.TrimPrefix(line[5:], " "))
+		}
+	}
+	return gap
+}
+
+func readFrames(r io.Reader, emit func(types.TaskEvent)) (gap bool) {
+	frames := wire.NewEventReader(r, 1<<20)
+	for {
+		ev, err := frames.Next()
+		if err != nil {
+			return errors.Is(err, wire.ErrEventGap)
+		}
+		emit(*ev)
+	}
 }
 
 // terminalOnly is the completions-only stream the SDK subscribes to.
 const terminalOnly = "/v1/events?" + api.EventsTerminalParam + "=1"
 
-// openSSEAt is openSSE for a path that may carry a query.
-func openSSEAt(t *testing.T, srv *httptest.Server, path, token, lastEventID string) (<-chan types.TaskEvent, *http.Response) {
+// openStream connects to GET /v1/events (path may carry a query) in
+// the given encoding, optionally resuming from lastEventID, and pumps
+// decoded events into the returned channel (closed when the stream
+// ends). The caller must close the response body to end the stream.
+func openStream(t *testing.T, srv *httptest.Server, enc encoding, path, token, lastEventID string) (<-chan types.TaskEvent, *http.Response) {
+	t.Helper()
+	resp := getEvents(t, srv, enc, path, token, lastEventID)
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("stream connect = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != enc.contentType {
+		resp.Body.Close()
+		t.Fatalf("stream Content-Type = %q, want %q", ct, enc.contentType)
+	}
+	ch := make(chan types.TaskEvent, 64)
+	go func() {
+		defer close(ch)
+		enc.read(resp.Body, func(ev types.TaskEvent) { ch <- ev })
+	}()
+	return ch, resp
+}
+
+// getEvents issues the GET behind openStream and returns whatever the
+// server answered.
+func getEvents(t *testing.T, srv *httptest.Server, enc encoding, path, token, lastEventID string) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, srv.URL+path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Authorization", "Bearer "+token)
+	if enc.accept != "" {
+		req.Header.Set("Accept", enc.accept)
+	}
 	if lastEventID != "" {
 		req.Header.Set("Last-Event-ID", lastEventID)
 	}
@@ -46,31 +125,14 @@ func openSSEAt(t *testing.T, srv *httptest.Server, path, token, lastEventID stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		t.Fatalf("SSE connect = %d", resp.StatusCode)
-	}
-	ch := make(chan types.TaskEvent, 64)
-	go func() {
-		defer close(ch)
-		sc := bufio.NewScanner(resp.Body)
-		var data []byte
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case line == "":
-				if len(data) > 0 {
-					if ev, err := wire.DecodeEvent(data); err == nil {
-						ch <- *ev
-					}
-				}
-				data = nil
-			case strings.HasPrefix(line, "data:"):
-				data = []byte(strings.TrimPrefix(line[5:], " "))
-			}
-		}
-	}()
-	return ch, resp
+	return resp
+}
+
+// openSSE is openStream for the whole lifecycle stream as Server-Sent
+// Events, what a client that asks for nothing gets.
+func openSSE(t *testing.T, srv *httptest.Server, token, lastEventID string) (<-chan types.TaskEvent, *http.Response) {
+	t.Helper()
+	return openStream(t, srv, encodings[0], "/v1/events", token, lastEventID)
 }
 
 // nextEvent reads one event with a timeout.
@@ -89,31 +151,33 @@ func nextEvent(t *testing.T, ch <-chan types.TaskEvent) types.TaskEvent {
 }
 
 func TestEventStreamDeliversLifecycleWithResult(t *testing.T) {
-	svc, srv, token := testService(t)
-	fnID, epID := registerFixture(t, srv, token)
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc, srv, token := testService(t)
+		fnID, epID := registerFixture(t, srv, token)
 
-	ch, resp := openSSE(t, srv, token, "")
-	defer resp.Body.Close()
+		ch, resp := openStream(t, srv, enc, "/v1/events", token, "")
+		defer resp.Body.Close()
 
-	var sub api.SubmitResponse
-	doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
-		api.SubmitRequest{FunctionID: fnID, EndpointID: epID, Payload: []byte("p")}, &sub)
+		var sub api.SubmitResponse
+		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+			api.SubmitRequest{FunctionID: fnID, EndpointID: epID, Payload: []byte("p")}, &sub)
 
-	ev := nextEvent(t, ch)
-	if ev.TaskID != sub.TaskID || ev.Status != types.TaskQueued || ev.EndpointID != epID {
-		t.Fatalf("first event = %+v", ev)
-	}
-	completeTask(svc, sub.TaskID, []byte("01\nout"))
-	ev = nextEvent(t, ch)
-	if ev.TaskID != sub.TaskID || ev.Status != types.TaskSuccess {
-		t.Fatalf("terminal event = %+v", ev)
-	}
-	// The terminal event carries the result inline: no follow-up
-	// fetch needed.
-	res, err := wire.DecodeResult(ev.Result)
-	if err != nil || string(res.Output) != "01\nout" {
-		t.Fatalf("inline result = %+v, %v", res, err)
-	}
+		ev := nextEvent(t, ch)
+		if ev.TaskID != sub.TaskID || ev.Status != types.TaskQueued || ev.EndpointID != epID || ev.Time.IsZero() {
+			t.Fatalf("first event = %+v", ev)
+		}
+		completeTask(svc, sub.TaskID, []byte("01\nout"))
+		ev = nextEvent(t, ch)
+		if ev.TaskID != sub.TaskID || ev.Status != types.TaskSuccess {
+			t.Fatalf("terminal event = %+v", ev)
+		}
+		// The terminal event carries the result inline: no follow-up
+		// fetch needed.
+		res, err := wire.DecodeResult(ev.Result)
+		if err != nil || string(res.Output) != "01\nout" {
+			t.Fatalf("inline result = %+v, %v", res, err)
+		}
+	})
 }
 
 func TestEventStreamIsPerUser(t *testing.T) {
@@ -143,100 +207,104 @@ func TestEventStreamIsPerUser(t *testing.T) {
 	}
 }
 
-// TestSSEResumeNoLossNoDup kills the stream mid-run and reconnects
-// with Last-Event-ID: every event published while disconnected must
-// arrive exactly once, as long as the replay ring covers the gap.
-func TestSSEResumeNoLossNoDup(t *testing.T) {
-	svc, srv, token := testService(t)
-	fnID, epID := registerFixture(t, srv, token)
+// TestResumeNoLossNoDup kills the stream mid-run and reconnects with
+// Last-Event-ID: every event published while disconnected must arrive
+// exactly once, as long as the replay ring covers the gap.
+func TestResumeNoLossNoDup(t *testing.T) {
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc, srv, token := testService(t)
+		fnID, epID := registerFixture(t, srv, token)
 
-	submit := func() types.TaskID {
-		var sub api.SubmitResponse
-		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
-			api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
-		return sub.TaskID
-	}
-
-	ch, resp := openSSE(t, srv, token, "")
-	idA := submit()
-	first := nextEvent(t, ch)
-	if first.TaskID != idA {
-		t.Fatalf("first event = %+v", first)
-	}
-	// Kill the stream, then generate events while disconnected.
-	resp.Body.Close()
-	completeTask(svc, idA, []byte("01\na")) // seq 2
-	idB := submit()                         // seq 3
-	completeTask(svc, idB, []byte("01\nb")) // seq 4
-
-	ch2, resp2 := openSSE(t, srv, token, strconv.FormatUint(first.Seq, 10))
-	defer resp2.Body.Close()
-	var got []types.TaskEvent
-	for i := 0; i < 3; i++ {
-		got = append(got, nextEvent(t, ch2))
-	}
-	// Exactly seqs 2,3,4 in order: nothing lost, nothing duplicated.
-	for i, ev := range got {
-		if ev.Seq != first.Seq+uint64(i+1) {
-			t.Fatalf("resumed seqs = %v (event %d = %+v)", seqsOf(got), i, ev)
+		submit := func() types.TaskID {
+			var sub api.SubmitResponse
+			doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+				api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
+			return sub.TaskID
 		}
-	}
-	if got[0].TaskID != idA || got[0].Status != types.TaskSuccess ||
-		got[1].TaskID != idB || got[1].Status != types.TaskQueued ||
-		got[2].TaskID != idB || got[2].Status != types.TaskSuccess {
-		t.Fatalf("resumed events = %v", seqsOf(got))
-	}
-	// Replayed terminal events are trimmed: the ring does not pin
-	// result bytes, and clients reconcile them via POST /v1/tasks/wait.
-	if len(got[0].Result) != 0 || len(got[2].Result) != 0 {
-		t.Fatal("replayed terminal events carried inline result bytes")
-	}
-	// The stream continues live after the replay.
-	idC := submit()
-	if ev := nextEvent(t, ch2); ev.TaskID != idC || ev.Seq != first.Seq+4 {
-		t.Fatalf("live event after resume = %+v", ev)
-	}
+
+		ch, resp := openStream(t, srv, enc, "/v1/events", token, "")
+		idA := submit()
+		first := nextEvent(t, ch)
+		if first.TaskID != idA {
+			t.Fatalf("first event = %+v", first)
+		}
+		// Kill the stream, then generate events while disconnected.
+		resp.Body.Close()
+		completeTask(svc, idA, []byte("01\na")) // seq 2
+		idB := submit()                         // seq 3
+		completeTask(svc, idB, []byte("01\nb")) // seq 4
+
+		ch2, resp2 := openStream(t, srv, enc, "/v1/events", token, strconv.FormatUint(first.Seq, 10))
+		defer resp2.Body.Close()
+		var got []types.TaskEvent
+		for i := 0; i < 3; i++ {
+			got = append(got, nextEvent(t, ch2))
+		}
+		// Exactly seqs 2,3,4 in order: nothing lost, nothing duplicated.
+		for i, ev := range got {
+			if ev.Seq != first.Seq+uint64(i+1) {
+				t.Fatalf("resumed seqs = %v (event %d = %+v)", seqsOf(got), i, ev)
+			}
+		}
+		if got[0].TaskID != idA || got[0].Status != types.TaskSuccess ||
+			got[1].TaskID != idB || got[1].Status != types.TaskQueued ||
+			got[2].TaskID != idB || got[2].Status != types.TaskSuccess {
+			t.Fatalf("resumed events = %v", seqsOf(got))
+		}
+		// Replayed terminal events are trimmed: the ring does not pin
+		// result bytes, and clients reconcile them via POST /v1/tasks/wait.
+		if len(got[0].Result) != 0 || len(got[2].Result) != 0 {
+			t.Fatal("replayed terminal events carried inline result bytes")
+		}
+		// The stream continues live after the replay.
+		idC := submit()
+		if ev := nextEvent(t, ch2); ev.TaskID != idC || ev.Seq != first.Seq+4 {
+			t.Fatalf("live event after resume = %+v", ev)
+		}
+	})
 }
 
 // The same cut and resume on a completions-only stream: the replay is
 // the terminal events of the missed stretch and nothing else, seqs
 // keep the full stream's numbering, and the stream carries on live.
-func TestSSEResumeTerminalOnlyNoLossNoDup(t *testing.T) {
-	svc, srv, token := testService(t)
-	fnID, epID := registerFixture(t, srv, token)
-	submit := func() types.TaskID {
-		var sub api.SubmitResponse
-		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
-			api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
-		return sub.TaskID
-	}
+func TestResumeTerminalOnlyNoLossNoDup(t *testing.T) {
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc, srv, token := testService(t)
+		fnID, epID := registerFixture(t, srv, token)
+		submit := func() types.TaskID {
+			var sub api.SubmitResponse
+			doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+				api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
+			return sub.TaskID
+		}
 
-	ch, resp := openSSEAt(t, srv, terminalOnly, token, "")
-	idA := submit()                         // seq 1, not sent
-	completeTask(svc, idA, []byte("01\na")) // seq 2
-	first := nextEvent(t, ch)
-	if first.TaskID != idA || first.Status != types.TaskSuccess || first.Seq != 2 || len(first.Result) == 0 {
-		t.Fatalf("first event = %+v, want A's completion at seq 2 with its result", first)
-	}
-	resp.Body.Close()
-	idB := submit()                         // seq 3
-	completeTask(svc, idB, []byte("01\nb")) // seq 4
-	idC := submit()                         // seq 5
+		ch, resp := openStream(t, srv, enc, terminalOnly, token, "")
+		idA := submit()                         // seq 1, not sent
+		completeTask(svc, idA, []byte("01\na")) // seq 2
+		first := nextEvent(t, ch)
+		if first.TaskID != idA || first.Status != types.TaskSuccess || first.Seq != 2 || len(first.Result) == 0 {
+			t.Fatalf("first event = %+v, want A's completion at seq 2 with its result", first)
+		}
+		resp.Body.Close()
+		idB := submit()                         // seq 3
+		completeTask(svc, idB, []byte("01\nb")) // seq 4
+		idC := submit()                         // seq 5
 
-	ch2, resp2 := openSSEAt(t, srv, terminalOnly, token, strconv.FormatUint(first.Seq, 10))
-	defer resp2.Body.Close()
-	if ev := nextEvent(t, ch2); ev.TaskID != idB || ev.Status != types.TaskSuccess || ev.Seq != 4 || len(ev.Result) != 0 {
-		t.Fatalf("replayed event = %+v, want B's completion at seq 4, result trimmed", ev)
-	}
-	completeTask(svc, idC, []byte("01\nc")) // seq 6
-	if ev := nextEvent(t, ch2); ev.TaskID != idC || ev.Seq != 6 || len(ev.Result) == 0 {
-		t.Fatalf("live event after resume = %+v, want C's completion at seq 6 with its result", ev)
-	}
-	select {
-	case ev := <-ch2:
-		t.Fatalf("unexpected extra event %+v", ev)
-	case <-time.After(50 * time.Millisecond):
-	}
+		ch2, resp2 := openStream(t, srv, enc, terminalOnly, token, strconv.FormatUint(first.Seq, 10))
+		defer resp2.Body.Close()
+		if ev := nextEvent(t, ch2); ev.TaskID != idB || ev.Status != types.TaskSuccess || ev.Seq != 4 || len(ev.Result) != 0 {
+			t.Fatalf("replayed event = %+v, want B's completion at seq 4, result trimmed", ev)
+		}
+		completeTask(svc, idC, []byte("01\nc")) // seq 6
+		if ev := nextEvent(t, ch2); ev.TaskID != idC || ev.Seq != 6 || len(ev.Result) == 0 {
+			t.Fatalf("live event after resume = %+v, want C's completion at seq 6 with its result", ev)
+		}
+		select {
+		case ev := <-ch2:
+			t.Fatalf("unexpected extra event %+v", ev)
+		case <-time.After(50 * time.Millisecond):
+		}
+	})
 }
 
 func seqsOf(evs []types.TaskEvent) []uint64 {
@@ -247,50 +315,38 @@ func seqsOf(evs []types.TaskEvent) []uint64 {
 	return out
 }
 
-// TestSSEResumeGapIsGone shrinks the replay ring so a disconnected
+// TestResumeGapIsGone shrinks the replay ring so a disconnected
 // client's position is evicted: the reconnect must fail with a clear
 // 410 rather than silently skipping events.
-func TestSSEResumeGapIsGone(t *testing.T) {
-	svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, EventRing: 2})
-	t.Cleanup(svc.Close)
-	srv := httptest.NewServer(svc)
-	t.Cleanup(srv.Close)
-	token := svc.MintUserToken("alice", auth.ScopeAll)
-	fnID, epID := registerFixture(t, srv, token)
+func TestResumeGapIsGone(t *testing.T) {
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, EventRing: 2})
+		t.Cleanup(svc.Close)
+		srv := httptest.NewServer(svc)
+		t.Cleanup(srv.Close)
+		token := svc.MintUserToken("alice", auth.ScopeAll)
+		fnID, epID := registerFixture(t, srv, token)
 
-	for i := 0; i < 5; i++ {
-		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
-			api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, nil)
-	}
-	// Ring of 2 holds seqs 4,5. Resuming after 1 needs 2..5: gone.
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/events", nil)
-	req.Header.Set("Authorization", "Bearer "+token)
-	req.Header.Set("Last-Event-ID", "1")
-	resp, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("gap resume = %d, want 410 Gone", resp.StatusCode)
-	}
-	// Filtered or not: the ring is judged on the whole stream.
-	req, _ = http.NewRequest(http.MethodGet, srv.URL+terminalOnly, nil)
-	req.Header.Set("Authorization", "Bearer "+token)
-	req.Header.Set("Last-Event-ID", "1")
-	if resp, err = srv.Client().Do(req); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("filtered gap resume = %d, want 410 Gone", resp.StatusCode)
-	}
-	// A position the ring still covers resumes fine.
-	ch, resp2 := openSSE(t, srv, token, "3")
-	defer resp2.Body.Close()
-	if ev := nextEvent(t, ch); ev.Seq != 4 {
-		t.Fatalf("in-ring resume started at seq %d, want 4", ev.Seq)
-	}
+		for i := 0; i < 5; i++ {
+			doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+				api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, nil)
+		}
+		// Ring of 2 holds seqs 4,5. Resuming after 1 needs 2..5: gone,
+		// filtered or not (the ring is judged on the whole stream).
+		for _, path := range []string{"/v1/events", terminalOnly} {
+			resp := getEvents(t, srv, enc, path, token, "1")
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGone {
+				t.Fatalf("gap resume of %s = %d, want 410 Gone", path, resp.StatusCode)
+			}
+		}
+		// A position the ring still covers resumes fine.
+		ch, resp := openStream(t, srv, enc, "/v1/events", token, "3")
+		defer resp.Body.Close()
+		if ev := nextEvent(t, ch); ev.Seq != 4 {
+			t.Fatalf("in-ring resume started at seq %d, want 4", ev.Seq)
+		}
+	})
 }
 
 func TestWaitTasksEndpoint(t *testing.T) {
@@ -372,54 +428,52 @@ func TestWaitersGoneUnifiedOnBus(t *testing.T) {
 // A completions-only stream carries no queued, dispatched, running or
 // pending event, and every terminal one in seq order with its result.
 func TestEventStreamTerminalOnly(t *testing.T) {
-	svc, srv, token := testService(t)
-	fnID, epID := registerFixture(t, srv, token)
-	ch, resp := openSSEAt(t, srv, terminalOnly, token, "")
-	defer resp.Body.Close()
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc, srv, token := testService(t)
+		fnID, epID := registerFixture(t, srv, token)
+		ch, resp := openStream(t, srv, enc, terminalOnly, token, "")
+		defer resp.Body.Close()
 
-	var ids []types.TaskID
-	for range 3 {
-		var sub api.SubmitResponse
-		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
-			api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
-		svc.onDispatched(&types.Task{ID: sub.TaskID, EndpointID: epID, Owner: "alice"})
-		svc.onRunning(sub.TaskID, epID)
-		ids = append(ids, sub.TaskID)
-	}
-	for i, id := range ids {
-		completeTask(svc, id, []byte("01\n"+strconv.Itoa(i)))
-	}
-	var last uint64
-	for i, id := range ids {
-		ev := nextEvent(t, ch)
-		res, err := wire.DecodeResult(ev.Result)
-		if ev.TaskID != id || !ev.Terminal() || ev.Seq <= last || err != nil || string(res.Output) != "01\n"+strconv.Itoa(i) {
-			t.Fatalf("event %d = %+v (result %+v, %v), want %s's completion after seq %d", i, ev, res, err, id, last)
+		var ids []types.TaskID
+		for range 3 {
+			var sub api.SubmitResponse
+			doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+				api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
+			svc.onDispatched(&types.Task{ID: sub.TaskID, EndpointID: epID, Owner: "alice"})
+			svc.onRunning(sub.TaskID, epID)
+			ids = append(ids, sub.TaskID)
 		}
-		last = ev.Seq
-	}
-	// Three tasks of four events each: the last completion is seq 12.
-	if last != 12 {
-		t.Fatalf("last seq = %d, want 12: the filtered stream keeps the full numbering", last)
-	}
+		for i, id := range ids {
+			completeTask(svc, id, []byte("01\n"+strconv.Itoa(i)))
+		}
+		var last uint64
+		for i, id := range ids {
+			ev := nextEvent(t, ch)
+			res, err := wire.DecodeResult(ev.Result)
+			if ev.TaskID != id || !ev.Terminal() || ev.Seq <= last || err != nil || string(res.Output) != "01\n"+strconv.Itoa(i) {
+				t.Fatalf("event %d = %+v (result %+v, %v), want %s's completion after seq %d", i, ev, res, err, id, last)
+			}
+			last = ev.Seq
+		}
+		// Three tasks of four events each: the last completion is seq 12.
+		if last != 12 {
+			t.Fatalf("last seq = %d, want 12: the filtered stream keeps the full numbering", last)
+		}
 
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/events?"+api.EventsTerminalParam+"=maybe", nil)
-	req.Header.Set("Authorization", "Bearer "+token)
-	bad, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed terminal parameter = %d, want 400", bad.StatusCode)
-	}
+		bad := getEvents(t, srv, enc, "/v1/events?"+api.EventsTerminalParam+"=maybe", token, "")
+		bad.Body.Close()
+		if bad.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed terminal parameter = %d, want 400", bad.StatusCode)
+		}
+	})
 }
 
 // streamRecorder is a ResponseWriter for driving handleEvents without
-// a connection: it records frames and flushes, and holds every Write
-// until gate is closed, so a test can fill the subscription while the
-// handler sits in its first write.
+// a connection: it records what is written and the flushes, and holds
+// every Write until gate is closed, so a test can fill the subscription
+// while the handler sits in its first write.
 type streamRecorder struct {
+	enc     encoding
 	gate    chan struct{}
 	flushed chan struct{} // one token per flush
 
@@ -429,8 +483,8 @@ type streamRecorder struct {
 	flushes int
 }
 
-func newStreamRecorder() *streamRecorder {
-	return &streamRecorder{gate: make(chan struct{}), flushed: make(chan struct{}, 1024), header: make(http.Header)}
+func newStreamRecorder(enc encoding) *streamRecorder {
+	return &streamRecorder{enc: enc, gate: make(chan struct{}), flushed: make(chan struct{}, 1024), header: make(http.Header)}
 }
 
 func (w *streamRecorder) Header() http.Header { return w.header }
@@ -450,33 +504,36 @@ func (w *streamRecorder) Flush() {
 	w.flushed <- struct{}{}
 }
 
-// seqs returns the ids of the frames written so far and the number of
-// flushes that carried them.
-func (w *streamRecorder) seqs(t *testing.T) (seqs []uint64, flushes int) {
-	t.Helper()
+// written returns a copy of the bytes written so far.
+func (w *streamRecorder) written() []byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, line := range strings.Split(w.body.String(), "\n") {
-		if id, ok := strings.CutPrefix(line, "id: "); ok {
-			seq, err := strconv.ParseUint(id, 10, 64)
-			if err != nil {
-				t.Fatalf("frame id %q: %v", id, err)
-			}
-			seqs = append(seqs, seq)
-		}
-	}
-	return seqs, w.flushes
+	return bytes.Clone(w.body.Bytes())
 }
 
-// streamInto serves one GET /v1/events for alice into a recorder and
-// returns once the subscription is attached (the 200 has been
-// flushed). stop ends the request and waits for the handler.
-func streamInto(t *testing.T, svc *Service, token string) (w *streamRecorder, stop func()) {
+// seqs returns the seqs of the events written so far, the number of
+// flushes that carried them, and whether the gap signal followed.
+func (w *streamRecorder) seqs() (seqs []uint64, flushes int, gap bool) {
+	w.mu.Lock()
+	body, flushes := bytes.Clone(w.body.Bytes()), w.flushes
+	w.mu.Unlock()
+	gap = w.enc.read(bytes.NewReader(body), func(ev types.TaskEvent) { seqs = append(seqs, ev.Seq) })
+	return seqs, flushes, gap
+}
+
+// streamInto serves one completions-only GET /v1/events for alice, in
+// the given encoding, into a recorder and returns once the subscription
+// is attached (the 200 has been flushed). stop ends the request and
+// waits for the handler.
+func streamInto(t *testing.T, svc *Service, enc encoding, token string) (w *streamRecorder, stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodGet, terminalOnly, nil).WithContext(ctx)
 	req.Header.Set("Authorization", "Bearer "+token)
-	w = newStreamRecorder()
+	if enc.accept != "" {
+		req.Header.Set("Accept", enc.accept)
+	}
+	w = newStreamRecorder(enc)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -486,6 +543,9 @@ func streamInto(t *testing.T, svc *Service, token string) (w *streamRecorder, st
 	case <-w.flushed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("stream never answered")
+	}
+	if ct := w.header.Get("Content-Type"); ct != enc.contentType {
+		t.Fatalf("stream Content-Type = %q, want %q", ct, enc.contentType)
 	}
 	return w, func() {
 		cancel()
@@ -509,18 +569,18 @@ func publishCompletions(svc *Service, n int) []uint64 {
 	return seqs
 }
 
-// awaitFrames waits until the recorder holds n frames.
-func awaitFrames(t *testing.T, w *streamRecorder, n int) (seqs []uint64, flushes int) {
+// awaitEvents waits until the recorder holds n events.
+func awaitEvents(t *testing.T, w *streamRecorder, n int) (seqs []uint64, flushes int, gap bool) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
-		if seqs, flushes = w.seqs(t); len(seqs) >= n {
-			return seqs, flushes
+		if seqs, flushes, gap = w.seqs(); len(seqs) >= n {
+			return seqs, flushes, gap
 		}
 		select {
 		case <-w.flushed:
 		case <-deadline:
-			t.Fatalf("%d of %d frames arrived", len(seqs), n)
+			t.Fatalf("%d of %d events arrived", len(seqs), n)
 		}
 	}
 }
@@ -529,69 +589,134 @@ func awaitFrames(t *testing.T, w *streamRecorder, n int) (seqs []uint64, flushes
 // the handler gets to write cost about N/sseDrainMax flushes, not N,
 // and arrive in order.
 func TestEventStreamCoalescesFlushes(t *testing.T) {
-	svc, _, token := testService(t)
-	w, stop := streamInto(t, svc, token)
-	defer stop()
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc, _, token := testService(t)
+		w, stop := streamInto(t, svc, enc, token)
+		defer stop()
 
-	const n = 150
-	want := publishCompletions(svc, n) // the handler takes the first and blocks writing it
-	close(w.gate)
-	got, flushes := awaitFrames(t, w, n)
-	if !slices.Equal(got, want) {
-		t.Fatalf("frames = %v, want %v", got, want)
-	}
-	// One flush sent the 200; the rest carried frames.
-	if limit := (n+sseDrainMax-1)/sseDrainMax + 1; flushes-1 > limit {
-		t.Fatalf("%d events cost %d flushes, want at most %d", n, flushes-1, limit)
-	}
+		const n = 150
+		want := publishCompletions(svc, n) // the handler takes the first and blocks writing it
+		close(w.gate)
+		got, flushes, _ := awaitEvents(t, w, n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("events = %v, want %v", got, want)
+		}
+		// One flush sent the 200; the rest carried events.
+		if limit := (n+sseDrainMax-1)/sseDrainMax + 1; flushes-1 > limit {
+			t.Fatalf("%d events cost %d flushes, want at most %d", n, flushes-1, limit)
+		}
+	})
 }
 
 // A subscription the bus closes as lagged while the handler is in the
 // middle of draining it loses nothing: what was buffered is written,
 // and the rest comes from the ring.
 func TestEventStreamLaggedMidDrainResumes(t *testing.T) {
-	svc, _, token := testService(t)
-	w, stop := streamInto(t, svc, token)
-	defer stop()
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc, _, token := testService(t)
+		w, stop := streamInto(t, svc, enc, token)
+		defer stop()
 
-	// More than the subscription's buffer can hold behind the one
-	// event the handler is stuck writing, and less than the ring.
-	const n = 400
-	want := publishCompletions(svc, n)
-	close(w.gate)
-	got, _ := awaitFrames(t, w, n)
-	if !slices.Equal(got, want) {
-		t.Fatalf("frames = %v, want %v", got, want)
-	}
-	if strings.Contains(w.body.String(), "event: gap") {
-		t.Fatal("stream reported a gap the ring covered")
-	}
+		// More than the subscription's buffer can hold behind the one
+		// event the handler is stuck writing, and less than the ring.
+		const n = 400
+		want := publishCompletions(svc, n)
+		close(w.gate)
+		got, _, gap := awaitEvents(t, w, n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("events = %v, want %v", got, want)
+		}
+		if gap {
+			t.Fatal("stream reported a gap the ring covered")
+		}
+	})
 }
 
-// Two clients of one user both receive a result inline, but its
-// cleanup is scheduled, and counted, once.
-func TestStreamPurgeCountsOncePerTask(t *testing.T) {
-	svc, srv, token := testService(t)
-	fnID, epID := registerFixture(t, srv, token)
-	ch1, resp1 := openSSEAt(t, srv, terminalOnly, token, "")
-	defer resp1.Body.Close()
-	ch2, resp2 := openSSE(t, srv, token, "")
-	defer resp2.Body.Close()
+// A subscriber that lags past what the ring can replay is told so, in
+// its own encoding, and the stream ends there.
+func TestEventStreamLaggedPastRingSignalsGap(t *testing.T) {
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, EventRing: 8})
+		t.Cleanup(svc.Close)
+		w, stop := streamInto(t, svc, enc, svc.MintUserToken("alice", auth.ScopeAll))
+		defer stop()
 
-	// Each handler purges after a flush and before its next write, so
-	// once both clients hold the third completion the first two are
-	// accounted for on both streams.
-	for range 3 {
-		var sub api.SubmitResponse
-		doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
-			api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
-		completeTask(svc, sub.TaskID, []byte("01\nout"))
-		for _, ch := range []<-chan types.TaskEvent{ch1, ch2} {
-			for ev := nextEvent(t, ch); !ev.Terminal(); ev = nextEvent(t, ch) {
+		publishCompletions(svc, 1000) // far past the subscription's buffer and the ring
+		close(w.gate)
+		deadline := time.After(5 * time.Second)
+		for {
+			if _, _, gap := w.seqs(); gap {
+				return
+			}
+			select {
+			case <-w.flushed:
+			case <-deadline:
+				t.Fatal("no gap signal on a stream the ring could not resume")
 			}
 		}
-	}
-	if n := svc.StatsSnapshot().StreamPurged; n < 2 || n > 3 {
-		t.Fatalf("StreamPurged = %d after 3 results on 2 streams, want 2 or 3 (once per task)", n)
-	}
+	})
+}
+
+// Two clients of one user both receive a result inline, byte for byte
+// the same stream, but its cleanup is scheduled, and counted, once.
+func TestStreamPurgeCountsOncePerTask(t *testing.T) {
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc, srv, token := testService(t)
+		fnID, epID := registerFixture(t, srv, token)
+		w1, stop1 := streamInto(t, svc, enc, token)
+		defer stop1()
+		w2, stop2 := streamInto(t, svc, enc, token)
+		defer stop2()
+		close(w1.gate)
+		close(w2.gate)
+
+		// Each handler purges after a flush and before its next write, so
+		// once both clients hold the third completion the first two are
+		// accounted for on both streams.
+		for i := range 3 {
+			var sub api.SubmitResponse
+			doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+				api.SubmitRequest{FunctionID: fnID, EndpointID: epID}, &sub)
+			completeTask(svc, sub.TaskID, bytes.Repeat([]byte("01\nout"), 1000))
+			awaitEvents(t, w1, i+1)
+			awaitEvents(t, w2, i+1)
+		}
+		if n := svc.StatsSnapshot().StreamPurged; n < 2 || n > 3 {
+			t.Fatalf("StreamPurged = %d after 3 results on 2 streams, want 2 or 3 (once per task)", n)
+		}
+		if b1, b2 := w1.written(), w2.written(); !bytes.Equal(b1, b2) {
+			t.Fatalf("two subscribers of one user read different streams: %d and %d bytes", len(b1), len(b2))
+		}
+	})
+}
+
+// An idle stream carries its encoding's heartbeat and nothing else; a
+// reader passes over it to the next event.
+func TestEventStreamHeartbeats(t *testing.T) {
+	period := sseHeartbeat
+	sseHeartbeat = 10 * time.Millisecond
+	t.Cleanup(func() { sseHeartbeat = period })
+	eachEncoding(t, func(t *testing.T, enc encoding) {
+		svc, _, token := testService(t)
+		w, stop := streamInto(t, svc, enc, token)
+		defer stop()
+		close(w.gate)
+
+		deadline := time.After(5 * time.Second)
+		for len(w.written()) < 3*len(enc.heartbeat) {
+			select {
+			case <-w.flushed:
+			case <-deadline:
+				t.Fatalf("idle stream wrote %q, want heartbeats", w.written())
+			}
+		}
+		idle := w.written()
+		if want := strings.Repeat(enc.heartbeat, len(idle)/len(enc.heartbeat)); string(idle) != want {
+			t.Fatalf("idle stream wrote %q, want only heartbeats %q", idle, enc.heartbeat)
+		}
+		want := publishCompletions(svc, 1)
+		if got, _, gap := awaitEvents(t, w, 1); !slices.Equal(got, want) || gap {
+			t.Fatalf("events behind the heartbeats = %v (gap %v), want %v", got, gap, want)
+		}
+	})
 }

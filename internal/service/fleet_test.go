@@ -135,6 +135,13 @@ func TestFleetMetricsUnsharded(t *testing.T) {
 // operator token. extra ring members beyond n get dead base URLs.
 func newFleet(t *testing.T, n, dead int) ([]*Service, string, string) {
 	t.Helper()
+	return newFleetBehind(t, n, dead, func(_ int, svc *Service) http.Handler { return svc })
+}
+
+// newFleetBehind is newFleet with each shard served through front(i,
+// shard), so a test can watch what arrives at one.
+func newFleetBehind(t *testing.T, n, dead int, front func(int, *Service) http.Handler) ([]*Service, string, string) {
+	t.Helper()
 	key := make([]byte, 32)
 	for i := range key {
 		key[i] = byte(i + 1)
@@ -167,7 +174,7 @@ func newFleet(t *testing.T, n, dead int) ([]*Service, string, string) {
 		svc := New(Config{ShardID: cfg.Shards[i].ID, Ring: dir, AuthKey: key,
 			HeartbeatPeriod: 50 * time.Millisecond})
 		t.Cleanup(svc.Close)
-		srv := &http.Server{Handler: svc}
+		srv := &http.Server{Handler: front(i, svc)}
 		go srv.Serve(lns[i]) //nolint:errcheck // closed by cleanup
 		t.Cleanup(func() { srv.Close() })
 		svcs[i] = svc

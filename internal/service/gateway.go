@@ -93,11 +93,12 @@ func (s *Service) misdirected(w http.ResponseWriter, key string) {
 // routeByKey resolves a key's serving shard (ring ownership filtered
 // through the drain/handoff overrides — see keyOwner) and, when it is
 // another shard, proxies the request there (re-encoding body when
-// non-nil). It reports whether it wrote a response; false means this
-// shard serves the key and the caller should handle it. A hop-marked
-// request for a key this shard handed off is forwarded once more —
-// the importer serves it locally, so the chain terminates — while any
-// other hop-marked miss still trips the loop guard.
+// non-nil, or relaying a rawBody as it is). It reports whether it wrote
+// a response; false means this shard serves the key and the caller
+// should handle it. A hop-marked request for a key this shard handed
+// off is forwarded once more — the importer serves it locally, so the
+// chain terminates — while any other hop-marked miss still trips the
+// loop guard.
 func (s *Service) routeByKey(w http.ResponseWriter, r *http.Request, key string, body any) bool {
 	if !s.sharded() || s.servesKey(key) {
 		return false
@@ -136,16 +137,27 @@ func (s *Service) buildHopRequest(ctx context.Context, r *http.Request, target s
 	return s.buildLaneRequest(ctx, r, target, method, pathAndQuery, body, s.hopToken)
 }
 
+// rawBody is a request body a shard relays as the bytes it read, under
+// the Content-Type they arrived with, where any other body value is
+// re-encoded as JSON.
+type rawBody struct {
+	contentType string
+	data        []byte
+}
+
 // buildLaneRequest constructs one shard-to-shard request on behalf of
-// the original caller: body re-encoded when non-nil, the caller's
-// Authorization forwarded (the owner re-authenticates against the
-// shared signing key), and the shard header plus the given lane token
-// attached for the receiver's verification. The single place shard
-// headers are set — the relay, scatter-gather, and replication paths
-// all go through it.
+// the original caller: body re-encoded when non-nil (a rawBody goes
+// verbatim), the caller's Authorization forwarded (the owner
+// re-authenticates against the shared signing key), and the shard
+// header plus the given lane token attached for the receiver's
+// verification. The single place shard headers are set — the relay,
+// scatter-gather, and replication paths all go through it.
 func (s *Service) buildLaneRequest(ctx context.Context, r *http.Request, target shard.Info, method, pathAndQuery string, body any, token string) (*http.Request, error) {
 	var reqBody io.Reader
-	if body != nil {
+	contentType := "application/json"
+	if raw, ok := body.(rawBody); ok {
+		reqBody, contentType = bytes.NewReader(raw.data), raw.contentType
+	} else if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
 			return nil, err
@@ -159,7 +171,7 @@ func (s *Service) buildLaneRequest(ctx context.Context, r *http.Request, target 
 	if auth := r.Header.Get("Authorization"); auth != "" {
 		req.Header.Set("Authorization", auth)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	req.Header.Set(ShardHopHeader, string(s.cfg.Ring.SelfID()))
 	req.Header.Set(ShardHopTokenHeader, token)
 	return req, nil

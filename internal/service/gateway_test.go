@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -11,8 +13,10 @@ import (
 
 	"funcx/internal/api"
 	"funcx/internal/auth"
+	"funcx/internal/sdk"
 	"funcx/internal/shard"
 	"funcx/internal/types"
+	"funcx/internal/wire"
 )
 
 // newShardedService boots one sharded service instance ("shard-a")
@@ -281,5 +285,107 @@ func TestGatewayForgedHopHeaderIsPublic(t *testing.T) {
 		api.RegisterFunctionRequest{Name: "f", Body: []byte("evil"), FunctionID: types.NewFunctionID()})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("forged-hop replica install: got %d, want 400", resp.StatusCode)
+	}
+}
+
+// A frame submission that reaches the wrong shard goes on to the owner
+// as the bytes that arrived, under their own Content-Type, and the
+// owner stores the payload byte for byte; the hop carries the marks of
+// any other. The SDK's submit, whose frame body can be replayed, also
+// follows a 307 to the owner.
+func TestGatewayRelaysFrameSubmitVerbatim(t *testing.T) {
+	type arrival struct {
+		contentType, hop, auth string
+		body                   []byte
+	}
+	hops := make(chan arrival, 4)
+	svcs, base, token := newFleetBehind(t, 2, 0, func(i int, svc *Service) http.Handler {
+		if i == 0 {
+			return svc
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/tasks" {
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				hops <- arrival{r.Header.Get("Content-Type"), r.Header.Get(ShardHopHeader), r.Header.Get("Authorization"), body}
+			}
+			svc.ServeHTTP(w, r)
+		})
+	})
+	var fn api.RegisterFunctionResponse
+	if resp := doRequest(t, http.MethodPost, base+"/v1/functions", token, nil,
+		api.RegisterFunctionRequest{Name: "f", Body: []byte("def f(): pass")}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register function = %d", resp.StatusCode)
+	} else if err := json.NewDecoder(resp.Body).Decode(&fn); err != nil {
+		t.Fatal(err)
+	}
+	ep, _, _, _, err := svcs[1].RegisterEndpoint("alice", "far", "", false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0, '"', '{', 0xff, '\n'}, 4096)
+	frame := api.EncodeSubmitFrame(&api.SubmitRequest{FunctionID: fn.FunctionID, EndpointID: ep.ID, Payload: payload, Memoize: true})
+
+	stored := func(id types.TaskID) *types.Task {
+		t.Helper()
+		data, ok := svcs[1].Store.Hash(tasksHash).Get(string(id))
+		if !ok {
+			t.Fatalf("owner shard has no record of %s", id)
+		}
+		task, err := wire.DecodeTask(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return task
+	}
+
+	code, resp := postAs(t, base, token, "/v1/tasks", api.FrameMediaType, bytes.NewReader(frame))
+	if code != http.StatusAccepted || resp.ShardID != "shard-b" || resp.EndpointID != ep.ID {
+		t.Fatalf("frame submit at the wrong shard = %d, %+v", code, resp)
+	}
+	hop := <-hops
+	if hop.contentType != api.FrameMediaType || !bytes.Equal(hop.body, frame) {
+		t.Fatalf("the owner was sent %d bytes of %q, want the %d-byte frame as it arrived", len(hop.body), hop.contentType, len(frame))
+	}
+	if hop.hop != "shard-a" || hop.auth != "Bearer "+token {
+		t.Fatalf("hop marks = %q, %q", hop.hop, hop.auth)
+	}
+	if task := stored(resp.TaskID); !bytes.Equal(task.Payload, payload) || !task.Memoize || task.Owner != "alice" {
+		t.Fatalf("owner stored %d payload bytes, memoize %v, owner %q", len(task.Payload), task.Memoize, task.Owner)
+	}
+	if n := svcs[0].StatsSnapshot().Proxied; n != 1 {
+		t.Fatalf("proxied = %d, want 1", n)
+	}
+
+	// A hop that still misses is a ring disagreement, frame or not.
+	foreign := mintForeign(t, svcs[0].cfg.Ring, types.NewEndpointID, shard.EndpointKey)
+	missed := api.EncodeSubmitFrame(&api.SubmitRequest{FunctionID: fn.FunctionID, EndpointID: foreign})
+	req, _ := http.NewRequest(http.MethodPost, base+"/v1/tasks", bytes.NewReader(missed))
+	req.Header.Set("Authorization", "Bearer "+token)
+	req.Header.Set("Content-Type", api.FrameMediaType)
+	for k, v := range hopHeaders(svcs[0], "shard-b") {
+		req.Header.Set(k, v)
+	}
+	if r, err := http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	} else if r.Body.Close(); r.StatusCode != http.StatusMisdirectedRequest {
+		t.Fatalf("hop-marked frame for a foreign key = %d, want 421", r.StatusCode)
+	}
+
+	// The SDK through a front door that redirects instead of relaying.
+	redirector := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, svcs[1].cfg.Ring.Self().BaseURL+r.URL.RequestURI(), http.StatusTemporaryRedirect)
+	}))
+	defer redirector.Close()
+	id, placed, err := sdk.New(redirector.URL, token).Submit(context.Background(),
+		sdk.SubmitSpec{Function: fn.FunctionID, Endpoint: ep.ID, Payload: payload})
+	if err != nil || placed != ep.ID {
+		t.Fatalf("SDK submit through a 307 = %s, %s, %v", id, placed, err)
+	}
+	if hop = <-hops; hop.contentType != api.FrameMediaType || hop.hop != "" {
+		t.Fatalf("redirected submit arrived as %q (hop %q), want a frame from the client itself", hop.contentType, hop.hop)
+	}
+	if task := stored(id); !bytes.Equal(task.Payload, payload) {
+		t.Fatalf("redirected submit stored %d payload bytes, want %d", len(task.Payload), len(payload))
 	}
 }

@@ -171,25 +171,37 @@ const bodySlack = 1 << 20
 
 // decodeBody reads a JSON request body into v. The body is bounded by
 // what the request may legitimately carry — tasks payloads of
-// Config.MaxPayloadSize each, base64-expanded, plus bodySlack — read
-// into a buffer sized from Content-Length (trusted for no more than
-// one task's worth), and parsed once; anything after the JSON value is
-// an error.
+// Config.MaxPayloadSize each, base64-expanded, plus bodySlack — and
+// parsed once; anything after the JSON value is an error.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any, tasks int) bool {
-	body := r.Body
 	perTask := int64(base64.StdEncoding.EncodedLen(max(s.cfg.MaxPayloadSize, 0)) + bodySlack)
+	data, ok := s.readBody(w, r, int64(tasks)*perTask, perTask)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "malformed request: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// readBody reads a request body of at most limit bytes (any length
+// when Config.MaxPayloadSize is negative) into one buffer sized from
+// Content-Length, which is trusted for no more than trust bytes.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request, limit, trust int64) ([]byte, bool) {
+	body := r.Body
 	if s.cfg.MaxPayloadSize >= 0 {
-		limit := int64(tasks) * perTask
 		if r.ContentLength > limit {
 			writeError(w, fmt.Errorf("%w: request body of %d bytes exceeds %d", ErrPayloadTooLarge, r.ContentLength, limit))
-			return false
+			return nil, false
 		}
 		body = http.MaxBytesReader(w, body, limit)
 	}
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
 		// MinRead spare bytes let ReadFrom see EOF without growing.
-		buf.Grow(int(min(r.ContentLength, perTask)) + bytes.MinRead)
+		buf.Grow(int(min(r.ContentLength, trust)) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(body); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -198,13 +210,33 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any, task
 		} else {
 			writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "reading request: " + err.Error()})
 		}
-		return false
+		return nil, false
 	}
-	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+	return buf.Bytes(), true
+}
+
+// decodeSubmit reads the body of POST /v1/tasks in the encoding its
+// Content-Type declares: a submission frame under api.FrameMediaType,
+// whose payload is not expanded and is handed on as a slice of the
+// body, and JSON under anything else. relay is the body as a shard that
+// does not own the submission forwards it: a frame goes on as the bytes
+// that arrived.
+func (s *Service) decodeSubmit(w http.ResponseWriter, r *http.Request) (req api.SubmitRequest, relay any, ok bool) {
+	if !api.IsFrameType(r.Header.Get("Content-Type")) {
+		ok = s.decodeBody(w, r, &req, 1)
+		return req, req, ok
+	}
+	limit := int64(max(s.cfg.MaxPayloadSize, 0) + bodySlack)
+	data, ok := s.readBody(w, r, limit, limit)
+	if !ok {
+		return req, nil, false
+	}
+	req, err := api.DecodeSubmitFrame(data)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "malformed request: " + err.Error()})
-		return false
+		return req, nil, false
 	}
-	return true
+	return req, rawBody{contentType: api.FrameMediaType, data: data}, true
 }
 
 func claimsOf(r *http.Request) *auth.Claims {
@@ -373,13 +405,13 @@ func submissionOf(t api.SubmitRequest) Submission {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.SubmitRequest
-	if !s.decodeBody(w, r, &req, 1) {
+	req, relay, ok := s.decodeSubmit(w, r)
+	if !ok {
 		return
 	}
 	// Cross-shard: the task belongs wherever its group or endpoint
 	// lives; a wrong-shard arrival is proxied to the owner.
-	if key, ok := submitKey(req); ok && s.routeByKey(w, r, key, req) {
+	if key, ok := submitKey(req); ok && s.routeByKey(w, r, key, relay) {
 		return
 	}
 	if len(req.DependsOn) > 0 {
@@ -419,6 +451,10 @@ func (s *Service) handleSubmitDAG(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Nodes) == 0 {
 		writeError(w, fmt.Errorf("%w: dag needs at least one node", ErrInvalidRequest))
+		return
+	}
+	if len(req.Nodes) > maxWaitBatch {
+		writeError(w, fmt.Errorf("%w: dag of %d nodes exceeds the %d-node limit", ErrInvalidRequest, len(req.Nodes), maxWaitBatch))
 		return
 	}
 	if key, ok := submitKey(api.SubmitRequest{
@@ -472,6 +508,10 @@ func (s *Service) handleDAGStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchSubmitRequest
 	if !s.decodeBody(w, r, &req, maxWaitBatch) {
+		return
+	}
+	if len(req.Tasks) > maxWaitBatch {
+		writeError(w, fmt.Errorf("%w: batch of %d tasks exceeds the %d-task limit", ErrInvalidRequest, len(req.Tasks), maxWaitBatch))
 		return
 	}
 	// Cross-shard: sub-batches scatter to their owner shards and the
@@ -690,12 +730,60 @@ func (s *Service) handleWaitTasks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// sseHeartbeat paces keep-alive comments on idle event streams.
-const sseHeartbeat = 15 * time.Second
+// sseHeartbeat paces keep-alives on idle event streams. A variable
+// only so that a test can see one without waiting for it.
+var sseHeartbeat = 15 * time.Second
 
 // sseGapFrame tells a subscriber that lagged past the replay ring to
 // start over.
 const sseGapFrame = "event: gap\ndata: {\"error\":\"replay gap: resume from scratch and reconcile via POST /v1/tasks/wait\"}\n\n"
+
+// eventEncoding is everything that differs between the two encodings
+// of GET /v1/events; the handler is the same code for both.
+type eventEncoding struct {
+	contentType    string
+	heartbeat, gap string
+	// write sends one event. head is the stream's scratch buffer for
+	// what precedes the result, handed back for the next event.
+	write func(w io.Writer, head []byte, ev *types.TaskEvent) ([]byte, error)
+}
+
+// serverSentEvents is the default encoding: one "id:" and one "data:"
+// line per event, the event as JSON with its result in base64.
+var serverSentEvents = eventEncoding{
+	contentType: "text/event-stream",
+	heartbeat:   ": hb\n\n",
+	gap:         sseGapFrame,
+	write: func(w io.Writer, head []byte, ev *types.TaskEvent) ([]byte, error) {
+		// Written in pieces: formatting the frame into one buffer
+		// would copy an inline result once more.
+		head = append(strconv.AppendUint(append(head[:0], "id: "...), ev.Seq, 10), "\ndata: "...)
+		for _, piece := range [...][]byte{head, wire.EncodeEvent(ev), []byte("\n\n")} {
+			if _, err := w.Write(piece); err != nil {
+				return head, err
+			}
+		}
+		return head, nil
+	},
+}
+
+// eventFrames is the encoding a client asks for with
+// Accept: api.FrameMediaType: a small binary head, then the result
+// frame exactly as the store holds it. Nothing is encoded per
+// subscriber but the head.
+var eventFrames = eventEncoding{
+	contentType: api.FrameMediaType,
+	heartbeat:   wire.EventHeartbeat,
+	gap:         wire.EventGap,
+	write: func(w io.Writer, head []byte, ev *types.TaskEvent) ([]byte, error) {
+		head = wire.AppendEventHead(head[:0], ev)
+		_, err := w.Write(head)
+		if err == nil && len(ev.Result) > 0 {
+			_, err = w.Write(ev.Result)
+		}
+		return head, err
+	},
+}
 
 // sseDrainMax bounds how many ready events one flush covers, so a
 // stream that never runs dry still returns to its select to see a
@@ -712,11 +800,20 @@ const sseDrainMax = 64
 // subscriber that falls behind mid-stream is resumed in place from the
 // ring, or told "event: gap" when even that is impossible.
 //
-// Frames are flushed as soon as the subscription has nothing else
+// Events are flushed as soon as the subscription has nothing else
 // ready: one event on an idle stream goes out at once, a burst shares
 // one flush.
+//
+// The stream is Server-Sent Events unless the request's Accept names
+// api.FrameMediaType, which selects binary event frames; the two differ
+// in how an event, a heartbeat and the gap signal are written and in
+// nothing else.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	user := claimsOf(r).Subject
+	enc := serverSentEvents
+	if api.IsFrameType(r.Header.Get("Accept")) {
+		enc = eventFrames
+	}
 	filter := events.All
 	if v := r.URL.Query().Get(api.EventsTerminalParam); v != "" {
 		terminal, err := strconv.ParseBool(v)
@@ -753,7 +850,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	defer func() { sub.Cancel() }()
 
 	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
+	h.Set("Content-Type", enc.contentType)
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	rc := http.NewResponseController(w)
@@ -768,15 +865,11 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	// delivered lists the results written since the last flush.
 	var delivered []types.TaskID
+	var head []byte
 	write := func(ev *types.TaskEvent) bool {
-		// Written in pieces: formatting the frame into one buffer
-		// would copy an inline result once more.
-		var line [32]byte
-		id := append(strconv.AppendUint(append(line[:0], "id: "...), ev.Seq, 10), "\ndata: "...)
-		for _, piece := range [...][]byte{id, wire.EncodeEvent(ev), []byte("\n\n")} {
-			if _, err := w.Write(piece); err != nil {
-				return false
-			}
+		var err error
+		if head, err = enc.write(w, head, ev); err != nil {
+			return false
 		}
 		lastSeq = ev.Seq
 		if ev.Terminal() && len(ev.Result) > 0 {
@@ -850,8 +943,8 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				// The connection ends here either way, so a failed write
 				// changes nothing.
-				io.WriteString(w, sseGapFrame) //nolint:errcheck
-				rc.Flush()                     //nolint:errcheck
+				io.WriteString(w, enc.gap) //nolint:errcheck
+				rc.Flush()                 //nolint:errcheck
 				return
 			}
 			sub = nsub
@@ -859,7 +952,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-heartbeat.C:
-			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
+			if _, err := io.WriteString(w, enc.heartbeat); err != nil {
 				return
 			}
 			if rc.Flush() != nil {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -383,17 +385,8 @@ func TestRequestBodyBoundedAndParsedOnce(t *testing.T) {
 
 	post := func(body io.Reader) int {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/tasks", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer "+token)
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+		code, _ := postAs(t, srv.URL, token, "/v1/tasks", "", body)
+		return code
 	}
 	valid, err := json.Marshal(api.SubmitRequest{FunctionID: fnID, EndpointID: epID})
 	if err != nil {
@@ -412,6 +405,187 @@ func TestRequestBodyBoundedAndParsedOnce(t *testing.T) {
 	}
 	if code := post(io.MultiReader(bytes.NewReader(valid))); code != http.StatusAccepted {
 		t.Fatalf("chunked valid body = %d, want 202", code)
+	}
+}
+
+// postAs posts body to path under contentType ("" for none) and returns
+// the status with the decoded submit response, if there was one.
+func postAs(t *testing.T, base, token, path, contentType string, body io.Reader) (int, api.SubmitResponse) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, base+path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out api.SubmitResponse
+	json.NewDecoder(resp.Body).Decode(&out) //nolint:errcheck
+	return resp.StatusCode, out
+}
+
+// One submission sent as JSON and as a frame stores the same task
+// record but for what names the task: the encoding of a request ends
+// at the handler.
+func TestSubmitFrameStoresTheSameTask(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	sub := api.SubmitRequest{
+		FunctionID: fnID, EndpointID: epID, Payload: []byte{0, 1, '{', '"', 0xff, '\n'},
+		Memoize: true, BatchN: 2, Walltime: time.Minute, MaxRetries: 3, AtMostOnce: true,
+	}
+	asJSON, err := json.Marshal(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored []*types.Task
+	for name, body := range map[string][]byte{"": asJSON, api.FrameMediaType: api.EncodeSubmitFrame(&sub)} {
+		code, resp := postAs(t, srv.URL, token, "/v1/tasks", name, bytes.NewReader(body))
+		if code != http.StatusAccepted || resp.TaskID == "" || resp.EndpointID != epID {
+			t.Fatalf("submit as %q = %d, %+v", name, code, resp)
+		}
+		data, ok := svc.Store.Hash(tasksHash).Get(string(resp.TaskID))
+		if !ok {
+			t.Fatalf("submit as %q: no task record", name)
+		}
+		task, err := wire.DecodeTask(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if task.ID != resp.TaskID || task.Owner != "alice" || task.Attempt != 1 || task.Submitted.IsZero() {
+			t.Fatalf("submit as %q stored %+v", name, task)
+		}
+		task.ID, task.Submitted, task.Trace = "", time.Time{}, nil
+		stored = append(stored, task)
+	}
+	if !reflect.DeepEqual(stored[0], stored[1]) {
+		t.Fatalf("the two encodings stored different tasks:\n%+v\n%+v", stored[0], stored[1])
+	}
+	if !bytes.Equal(stored[0].Payload, sub.Payload) || !stored[0].Memoize || stored[0].Walltime != time.Minute {
+		t.Fatalf("stored task lost the submission: %+v", stored[0])
+	}
+}
+
+// A frame body is bounded like a JSON one, without the base64
+// allowance, and is one frame of submission fields: anything else
+// under the frame type is a malformed request.
+func TestSubmitFrameBoundedAndValidated(t *testing.T) {
+	svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, MaxPayloadSize: 64})
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	token := svc.MintUserToken("alice", auth.ScopeAll)
+	fnID, epID := registerFixture(t, srv, token)
+
+	frame := func(payload int) []byte {
+		return api.EncodeSubmitFrame(&api.SubmitRequest{FunctionID: fnID, EndpointID: epID, Payload: make([]byte, payload)})
+	}
+	valid := frame(64)
+	asJSON, err := json.Marshal(api.SubmitRequest{FunctionID: fnID, EndpointID: epID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked := func(b []byte) io.Reader { return io.MultiReader(bytes.NewReader(b)) } // no Content-Length
+	for name, c := range map[string]struct {
+		body io.Reader
+		want int
+	}{
+		"at the payload limit":          {bytes.NewReader(valid), http.StatusAccepted},
+		"chunked":                       {chunked(valid), http.StatusAccepted},
+		"payload over the limit":        {bytes.NewReader(frame(65)), http.StatusRequestEntityTooLarge},
+		"body over the limit":           {bytes.NewReader(frame(64 + bodySlack + 1)), http.StatusRequestEntityTooLarge},
+		"chunked body over the limit":   {chunked(frame(64 + bodySlack + 1)), http.StatusRequestEntityTooLarge},
+		"a byte after the frame":        {bytes.NewReader(append(bytes.Clone(valid), 0)), http.StatusBadRequest},
+		"a frame cut short":             {bytes.NewReader(valid[:len(valid)-1]), http.StatusBadRequest},
+		"no body":                       {bytes.NewReader(nil), http.StatusBadRequest},
+		"JSON under the frame type":     {bytes.NewReader(asJSON), http.StatusBadRequest},
+		"a batch frame":                 {bytes.NewReader(wire.EncodeTasks([]*types.Task{{FunctionID: fnID, EndpointID: epID}})), http.StatusBadRequest},
+		"a frame that names its owner":  {bytes.NewReader(wire.EncodeTask(&types.Task{FunctionID: fnID, EndpointID: epID, Owner: "root"})), http.StatusBadRequest},
+		"a frame that names its id":     {bytes.NewReader(wire.EncodeTask(&types.Task{FunctionID: fnID, EndpointID: epID, ID: "mine"})), http.StatusBadRequest},
+		"a frame with a trace context":  {bytes.NewReader(wire.EncodeTask(&types.Task{FunctionID: fnID, EndpointID: epID, Trace: &types.TraceContext{}})), http.StatusBadRequest},
+		"a frame on its second attempt": {bytes.NewReader(wire.EncodeTask(&types.Task{FunctionID: fnID, EndpointID: epID, Attempt: 2})), http.StatusBadRequest},
+	} {
+		if code, _ := postAs(t, srv.URL, token, "/v1/tasks", api.FrameMediaType+"; v=1", c.body); code != c.want {
+			t.Errorf("%s = %d, want %d", name, code, c.want)
+		}
+	}
+	// The frame itself under any other type is not JSON.
+	if code, _ := postAs(t, srv.URL, token, "/v1/tasks", "application/json", bytes.NewReader(valid)); code != http.StatusBadRequest {
+		t.Errorf("a frame posted as JSON = %d, want 400", code)
+	}
+}
+
+// A batch or a graph is as many tasks as one wait request can name and
+// no more, however small the payloads: the count is checked before
+// anything is prepared.
+func TestBatchAndDAGTaskCountBounded(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	batch := func(n int) api.BatchSubmitRequest {
+		req := api.BatchSubmitRequest{Tasks: make([]api.SubmitRequest, n)}
+		for i := range req.Tasks {
+			req.Tasks[i] = api.SubmitRequest{FunctionID: fnID, EndpointID: epID}
+		}
+		return req
+	}
+	graph := func(n int) api.SubmitDAGRequest {
+		req := api.SubmitDAGRequest{Nodes: make([]api.DAGNodeSpec, n)}
+		for i := range req.Nodes {
+			req.Nodes[i] = api.DAGNodeSpec{Key: "n" + strconv.Itoa(i), FunctionID: fnID, EndpointID: epID}
+		}
+		return req
+	}
+	for _, c := range []struct {
+		name, path string
+		body       any
+		want       int
+	}{
+		{"batch at the limit", "/v1/tasks/batch", batch(maxWaitBatch), http.StatusAccepted},
+		{"batch over the limit", "/v1/tasks/batch", batch(maxWaitBatch + 1), http.StatusBadRequest},
+		{"graph at the limit", "/v1/dags", graph(maxWaitBatch), http.StatusAccepted},
+		{"graph over the limit", "/v1/dags", graph(maxWaitBatch + 1), http.StatusBadRequest},
+	} {
+		before := svc.StatsSnapshot().Submitted
+		if code := doJSON(t, srv, token, http.MethodPost, c.path, c.body, nil); code != c.want {
+			t.Errorf("%s = %d, want %d", c.name, code, c.want)
+		}
+		if after := svc.StatsSnapshot().Submitted; c.want == http.StatusBadRequest && after != before {
+			t.Errorf("%s: %d tasks were accepted before the refusal", c.name, after-before)
+		}
+	}
+}
+
+// A dependent submission is a JSON record, as a graph is: it still
+// chains behind a parent that was submitted as a frame.
+func TestDependsOnOverJSONChainsBehindFrameSubmit(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	code, parent := postAs(t, srv.URL, token, "/v1/tasks", api.FrameMediaType,
+		bytes.NewReader(api.EncodeSubmitFrame(&api.SubmitRequest{FunctionID: fnID, EndpointID: epID, Payload: []byte("p")})))
+	if code != http.StatusAccepted {
+		t.Fatalf("parent = %d", code)
+	}
+	var child api.SubmitResponse
+	code = doJSON(t, srv, token, http.MethodPost, "/v1/tasks",
+		api.SubmitRequest{FunctionID: fnID, EndpointID: epID, DependsOn: []types.TaskID{parent.TaskID}}, &child)
+	if code != http.StatusAccepted || child.TaskID == "" || child.DAGID == "" {
+		t.Fatalf("dependent submit = %d, %+v", code, child)
+	}
+	q := svc.Store.Queue(store.TaskQueueName(string(epID)))
+	if q.Len() != 1 {
+		t.Fatalf("queue holds %d tasks before the parent lands, want the parent alone", q.Len())
+	}
+	completeTask(svc, parent.TaskID, []byte("01\nout"))
+	for deadline := time.Now().Add(5 * time.Second); q.Len() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("child was not released: queue holds %d tasks", q.Len())
+		}
 	}
 }
 

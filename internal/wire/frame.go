@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"time"
 
@@ -24,6 +26,9 @@ const (
 	formatResult    byte = 0x03
 	formatCapacity  byte = 0x04
 	formatTaskStart byte = 0x05
+	formatEvent     byte = 0x06
+	formatHeartbeat byte = 0x07
+	formatGap       byte = 0x08
 )
 
 // ErrLegacyJSON is returned (wrapped) by every frame decoder for a
@@ -98,6 +103,18 @@ const (
 	tagTaskStartTaskID taskStartTag = iota + 1
 	tagTaskStartWorker
 	tagTaskStartManager
+)
+
+// eventTag names one header field of an event frame.
+type eventTag byte
+
+const (
+	tagEventSeq eventTag = iota + 1
+	tagEventTaskID
+	tagEventStatus
+	tagEventEndpoint
+	tagEventDAG
+	tagEventTime
 )
 
 // --- encoding ---
@@ -300,6 +317,32 @@ func EncodeTaskStart(s *TaskStart) []byte {
 	b = appendString(b, byte(tagTaskStartManager), string(s.ManagerID))
 	return frame(formatTaskStart, b, nil)
 }
+
+// AppendEventHead appends everything of e's event frame but its body:
+// the frame is complete once the caller has written e.Result, the
+// stored result frame, behind it. A stream handler writes the two in
+// turn, so a result is never copied to be framed.
+func AppendEventHead(b []byte, e *types.TaskEvent) []byte {
+	b = append(b, formatEvent, 0, 0, 0, 0)
+	at := len(b)
+	b = appendInt(b, byte(tagEventSeq), int64(e.Seq))
+	b = appendString(b, byte(tagEventTaskID), string(e.TaskID))
+	b = appendString(b, byte(tagEventStatus), string(e.Status))
+	b = appendString(b, byte(tagEventEndpoint), string(e.EndpointID))
+	b = appendString(b, byte(tagEventDAG), string(e.DAGID))
+	b = appendTime(b, byte(tagEventTime), e.Time)
+	binary.BigEndian.PutUint32(b[at-4:], uint32(len(b)-at))
+	return binary.BigEndian.AppendUint32(b, uint32(len(e.Result)))
+}
+
+// EventHeartbeat and EventGap are the two signals of a framed event
+// stream, each a frame of its own format with neither header nor body:
+// the keep-alive of an idle stream, and the notice that the subscriber
+// fell behind the replay ring and must start over.
+const (
+	EventHeartbeat = "\x07\x00\x00\x00\x00\x00\x00\x00\x00"
+	EventGap       = "\x08\x00\x00\x00\x00\x00\x00\x00\x00"
+)
 
 // --- decoding ---
 
@@ -710,4 +753,171 @@ func decodeTaskStart(data []byte) (*TaskStart, error) {
 		}
 	}
 	return ts, nil
+}
+
+// DecodeEventFrame unframes a task lifecycle event. The returned
+// event's Result aliases data, which the caller must not rewrite
+// afterwards.
+func DecodeEventFrame(data []byte) (*types.TaskEvent, error) {
+	e, err := decodeEventFrame(data)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding event frame: %w", err)
+	}
+	return e, nil
+}
+
+func decodeEventFrame(data []byte) (*types.TaskEvent, error) {
+	header, body, err := openFrame(data, formatEvent)
+	if err != nil {
+		return nil, err
+	}
+	e, err := decodeEventHeader(header)
+	if err != nil {
+		return nil, err
+	}
+	e.Result = body
+	return e, nil
+}
+
+func decodeEventHeader(header []byte) (*types.TaskEvent, error) {
+	e := &types.TaskEvent{}
+	// One copy of the header backs every string field: a stream
+	// consumer drops the event once it has routed the result.
+	strs := string(header)
+	for off := 0; off < len(header); {
+		tag, lo, hi, err := nextField(header, off)
+		if err != nil {
+			return nil, err
+		}
+		s, v := strs[lo:hi], header[lo:hi]
+		off = hi
+		//funcx:exhaustive funcx/internal/wire.eventTag
+		switch eventTag(tag) {
+		case tagEventSeq:
+			var n int64
+			err = ints(tag, v, &n)
+			e.Seq = uint64(n)
+		case tagEventTaskID:
+			e.TaskID = types.TaskID(s)
+		case tagEventStatus:
+			e.Status = types.TaskStatus(s)
+		case tagEventEndpoint:
+			e.EndpointID = types.EndpointID(s)
+		case tagEventDAG:
+			e.DAGID = types.DAGID(s)
+		case tagEventTime:
+			e.Time, err = timeOf(tag, v)
+		default:
+			return nil, fmt.Errorf("%w: unknown event field %d", errFrame, tag)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// ErrEventGap is returned by EventReader.Next for the gap signal: the
+// server could not resume the subscription from its replay ring, and
+// ends the stream.
+var ErrEventGap = errors.New("wire: event stream gap")
+
+// maxEventHeader bounds the header an EventReader accepts: a seq, a
+// time and four short strings.
+const maxEventHeader = 4 << 10
+
+// EventReader reads the framed encoding of GET /v1/events.
+type EventReader struct {
+	r       *bufio.Reader
+	maxBody int
+}
+
+// NewEventReader reads events from r. An event whose result is longer
+// than maxBody is returned without it.
+func NewEventReader(r io.Reader, maxBody int) *EventReader {
+	// Room to peek a whole head; a body longer than the buffer is read
+	// past it, straight into its own allocation.
+	return &EventReader{r: bufio.NewReaderSize(r, 4*maxEventHeader), maxBody: maxBody}
+}
+
+// Next returns the stream's next event, passing over heartbeats. The
+// event and its Result share one new allocation of the frame's size;
+// a Result above the reader's bound is discarded unread and the event
+// comes back without one, as a replayed event does. Next returns
+// ErrEventGap for the gap signal and io.EOF at the end of a stream
+// that stops between frames.
+func (er *EventReader) Next() (*types.TaskEvent, error) {
+	for {
+		e, err := er.next()
+		if err != nil {
+			if err != io.EOF && !errors.Is(err, ErrEventGap) {
+				err = fmt.Errorf("wire: reading event stream: %w", err)
+			}
+			return nil, err
+		}
+		if e != nil {
+			return e, nil
+		}
+	}
+}
+
+// next reads one frame; a heartbeat returns neither event nor error.
+func (er *EventReader) next() (*types.TaskEvent, error) {
+	if _, err := er.r.Peek(1); err != nil {
+		return nil, err // io.EOF: the stream ended between frames
+	}
+	head, err := er.peek(1 + 4)
+	if err != nil {
+		return nil, err
+	}
+	format, hl := head[0], int(binary.BigEndian.Uint32(head[1:]))
+	switch {
+	case format != formatEvent && format != formatHeartbeat && format != formatGap:
+		return nil, checkFormat(head, formatEvent)
+	case hl > maxEventHeader:
+		return nil, fmt.Errorf("%w: header length %d exceeds %d", errFrame, hl, maxEventHeader)
+	}
+	if head, err = er.peek(frameOverhead + hl); err != nil {
+		return nil, err
+	}
+	bl := binary.BigEndian.Uint32(head[1+4+hl:])
+	switch {
+	case format != formatEvent:
+		if hl != 0 || bl != 0 {
+			return nil, fmt.Errorf("%w: signal %#x with a header or a body", errFrame, format)
+		}
+		er.r.Discard(frameOverhead) //nolint:errcheck // peeked above
+		if format == formatGap {
+			return nil, ErrEventGap
+		}
+		return nil, nil
+	case uint64(bl) > uint64(er.maxBody):
+		e, err := decodeEventHeader(head[1+4 : 1+4+hl])
+		if err != nil {
+			return nil, err
+		}
+		if _, err := er.r.Discard(frameOverhead + hl + int(bl)); err != nil {
+			return nil, unexpectedEOF(err)
+		}
+		return e, nil
+	}
+	buf := make([]byte, frameOverhead+hl+int(bl))
+	if _, err := io.ReadFull(er.r, buf); err != nil {
+		return nil, unexpectedEOF(err)
+	}
+	return decodeEventFrame(buf)
+}
+
+// peek is Peek for the inside of a frame, where the end of the stream
+// is a truncation.
+func (er *EventReader) peek(n int) ([]byte, error) {
+	b, err := er.r.Peek(n)
+	return b, unexpectedEOF(err)
+}
+
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -28,6 +29,8 @@ func fill(t *testing.T, v reflect.Value, n *int) {
 		v.SetBool(true)
 	case reflect.Int, reflect.Int64:
 		v.SetInt(int64(*n) * 1_000_003)
+	case reflect.Uint64:
+		v.SetUint(uint64(*n) * 1_000_003)
 	case reflect.Slice:
 		if v.Type().Elem().Kind() != reflect.Uint8 {
 			t.Fatalf("fill: slice of %s", v.Type().Elem())
@@ -101,6 +104,10 @@ func TestEveryFieldRoundTrips(t *testing.T) {
 	roundTrip(t, filled[TaskStart](t), EncodeTaskStart, DecodeTaskStart)
 	roundTrip(t, &TaskStart{}, EncodeTaskStart, DecodeTaskStart)
 
+	roundTrip(t, filled[types.TaskEvent](t), encodeEventFrame, DecodeEventFrame)
+	roundTrip(t, &types.TaskEvent{}, encodeEventFrame, DecodeEventFrame)
+	roundTrip(t, &types.TaskEvent{Seq: 1<<64 - 1, Time: time.Unix(-1, 999_999_999).UTC()}, encodeEventFrame, DecodeEventFrame)
+
 	in := []*types.Task{filled[types.Task](t), {}, {ID: "c", Payload: []byte("x")}}
 	out, err := DecodeTasks(EncodeTasks(in))
 	if err != nil {
@@ -112,6 +119,12 @@ func TestEveryFieldRoundTrips(t *testing.T) {
 	if out, err := DecodeTasks(EncodeTasks(nil)); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}
+}
+
+// encodeEventFrame is an event frame in one buffer: what a stream
+// handler sends in two writes.
+func encodeEventFrame(e *types.TaskEvent) []byte {
+	return append(AppendEventHead(nil, e), e.Result...)
 }
 
 // within reports whether p's bytes lie inside buf's backing array.
@@ -153,6 +166,18 @@ func TestDecodeAliasesInput(t *testing.T) {
 	if !bytes.Equal(res.Output, body) || !within(res.Output, enc) {
 		t.Fatal("DecodeResult copied the output")
 	}
+	// An event's body is a result frame, which opens in place too.
+	enc = encodeEventFrame(&types.TaskEvent{TaskID: "t", Status: types.TaskSuccess, Result: enc})
+	ev, err := DecodeEventFrame(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = DecodeResult(ev.Result); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Output, body) || !within(ev.Result, enc) || !within(res.Output, enc) {
+		t.Fatal("DecodeEventFrame copied the result")
+	}
 }
 
 // decoders drives the frame decoders alike.
@@ -171,6 +196,8 @@ var decoders = []struct {
 		func(b []byte) error { _, err := DecodeCapacity(b); return err }},
 	{"taskstart", func(t *testing.T) []byte { return EncodeTaskStart(filled[TaskStart](t)) },
 		func(b []byte) error { _, err := DecodeTaskStart(b); return err }},
+	{"event", func(t *testing.T) []byte { return encodeEventFrame(filled[types.TaskEvent](t)) },
+		func(b []byte) error { _, err := DecodeEventFrame(b); return err }},
 }
 
 // A frame that has no body refuses one, and every decoder refuses a
@@ -228,15 +255,17 @@ func TestOverlongLengthsFailWithoutAllocating(t *testing.T) {
 		"batch entry":   join([]byte{formatTasks, 1}, huge, task),
 	}
 	for name, frame := range cases {
-		asResult := join([]byte{formatResult}, frame[1:])
+		asResult, asEvent := join([]byte{formatResult}, frame[1:]), join([]byte{formatEvent}, frame[1:])
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, errTask := DecodeTask(frame)
 		_, errTasks := DecodeTasks(frame)
 		_, errResult := DecodeResult(asResult)
+		_, errEvent := DecodeEventFrame(asEvent)
+		_, errStream := NewEventReader(bytes.NewReader(asEvent), 8<<20).Next()
 		runtime.ReadMemStats(&after)
-		if errTask == nil || errTasks == nil || errResult == nil {
-			t.Fatalf("%s: accepted (task %v, tasks %v, result %v)", name, errTask, errTasks, errResult)
+		if errTask == nil || errTasks == nil || errResult == nil || errEvent == nil || errStream == nil {
+			t.Fatalf("%s: accepted (task %v, tasks %v, result %v, event %v, stream %v)", name, errTask, errTasks, errResult, errEvent, errStream)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("%s: decoding allocated %d bytes", name, grew)
@@ -284,5 +313,97 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 	start := filled[TaskStart](t)
 	if n := testing.AllocsPerRun(100, func() { EncodeTaskStart(start) }); n != 1 {
 		t.Fatalf("EncodeTaskStart: %v allocations, want 1", n)
+	}
+	// An event's head goes into the stream's own buffer, and its result
+	// is not touched.
+	ev, head := filled[types.TaskEvent](t), make([]byte, 0, 256)
+	ev.Result = make([]byte, 64<<10)
+	if n := testing.AllocsPerRun(100, func() { head = AppendEventHead(head[:0], ev) }); n != 0 {
+		t.Fatalf("AppendEventHead: %v allocations, want 0", n)
+	}
+}
+
+// A framed stream is frames back to back: the reader passes over
+// heartbeats, returns each event with its result, drops a result above
+// its bound without reading it into memory, and reports the gap signal
+// and the end of the stream as what they are.
+func TestEventReader(t *testing.T) {
+	for name, signal := range map[string][2]string{
+		"heartbeat": {EventHeartbeat, string(frame(formatHeartbeat, nil, nil))},
+		"gap":       {EventGap, string(frame(formatGap, nil, nil))},
+	} {
+		if signal[0] != signal[1] {
+			t.Fatalf("%s signal = %q, want %q", name, signal[0], signal[1])
+		}
+	}
+	const maxBody = 1 << 10
+	small := &types.TaskEvent{Seq: 1, TaskID: "a", Status: types.TaskSuccess, Result: EncodeResult(&types.Result{TaskID: "a", Output: []byte("out")})}
+	queued := &types.TaskEvent{Seq: 2, TaskID: "b", Status: types.TaskQueued, Time: time.Unix(1_700_000_000, 5).UTC()}
+	big := &types.TaskEvent{Seq: 3, TaskID: "c", Status: types.TaskSuccess, Result: make([]byte, maxBody+1)}
+	var stream []byte
+	stream = append(stream, EventHeartbeat...)
+	stream = append(stream, encodeEventFrame(small)...)
+	stream = append(stream, EventHeartbeat...)
+	stream = append(stream, EventHeartbeat...)
+	stream = append(stream, encodeEventFrame(queued)...)
+	stream = append(stream, encodeEventFrame(big)...)
+	stream = append(stream, encodeEventFrame(small)...)
+	events := len(stream)
+	stream = append(stream, EventGap...)
+
+	r := NewEventReader(bytes.NewReader(stream), maxBody)
+	trimmed := *big
+	trimmed.Result = nil
+	for i, want := range []*types.TaskEvent{small, queued, &trimmed, small} {
+		got, err := r.Next()
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("event %d:\n got %+v\nwant %+v", i, got, want)
+		}
+		if n := len(got.Result); cap(got.Result) != n {
+			t.Fatalf("event %d: result of %d bytes in a buffer with %d to spare", i, n, cap(got.Result)-n)
+		}
+	}
+	if _, err := r.Next(); !errors.Is(err, ErrEventGap) {
+		t.Fatalf("after the events: %v, want ErrEventGap", err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("after the gap: %v, want io.EOF", err)
+	}
+
+	// A stream cut anywhere ends in io.EOF between frames and in an
+	// error inside one, never in a panic or an invented event.
+	ends := map[int]bool{}
+	for at, rest := 0, stream[:events]; len(rest) > 0; {
+		ends[at] = true
+		n := frameOverhead + int(binary.BigEndian.Uint32(rest[1:]))
+		n += int(binary.BigEndian.Uint32(rest[n-4:]))
+		at, rest = at+n, rest[n:]
+	}
+	for cut := range events {
+		r := NewEventReader(bytes.NewReader(stream[:cut]), maxBody)
+		var err error
+		for err == nil {
+			_, err = r.Next()
+		}
+		if ends[cut] != (err == io.EOF) || errors.Is(err, ErrEventGap) {
+			t.Fatalf("stream cut at %d (a frame boundary: %v) ended with %v", cut, ends[cut], err)
+		}
+	}
+
+	// What is not a frame of the stream is refused: a header longer than
+	// any event's, a signal that carries something, another record.
+	for name, bad := range map[string][]byte{
+		"long header":    appendFrame(nil, formatEvent, make([]byte, maxEventHeader+1), nil),
+		"heartbeat body": appendFrame(nil, formatHeartbeat, nil, []byte("x")),
+		"gap header":     appendFrame(nil, formatGap, []byte{byte(tagEventSeq), 1, 2}, nil),
+		"result frame":   small.Result,
+		"server-sent":    []byte("id: 1\ndata: {}\n\n"),
+	} {
+		if ev, err := NewEventReader(bytes.NewReader(bad), maxBody).Next(); err == nil || err == io.EOF || errors.Is(err, ErrEventGap) {
+			t.Fatalf("%s: Next = %+v, %v", name, ev, err)
+		}
 	}
 }

@@ -2,11 +2,11 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,6 +80,13 @@ var codecs = []struct {
 		}
 		return EncodeEvent(e), true
 	}},
+	{"eventframe", func(b []byte) ([]byte, bool) {
+		e, err := DecodeEventFrame(b)
+		if err != nil {
+			return nil, false
+		}
+		return encodeEventFrame(e), true
+	}},
 	{"dag", func(b []byte) ([]byte, bool) {
 		g, err := DecodeDAG(b)
 		if err != nil {
@@ -120,6 +127,10 @@ var seedResult = &types.Result{
 // to what the encoders write today).
 func frameSeeds() map[string][]byte {
 	result := EncodeResult(seedResult)
+	event := &types.TaskEvent{
+		Seq: 7, TaskID: "t-1", Status: types.TaskSuccess, EndpointID: "ep-1", Result: result,
+		DAGID: "dag-1", Time: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC),
+	}
 	return map[string][]byte{
 		"task":        EncodeTask(seedTask),
 		"tasks":       EncodeTasks([]*types.Task{seedTask, {ID: "t-2", Payload: []byte("y")}, {}}),
@@ -128,11 +139,11 @@ func frameSeeds() map[string][]byte {
 		"capacity": EncodeCapacity(&types.Capacity{
 			ManagerID: "m-1", Free: map[string]int{"none": 2, "docker:img:1": 0}, Slots: 3, Prefetch: 4, Total: 8,
 		}),
-		"taskstart": EncodeTaskStart(&TaskStart{TaskID: "t-1", WorkerID: "w-1", ManagerID: "m-1"}),
-		"event": EncodeEvent(&types.TaskEvent{
-			Seq: 7, TaskID: "t-1", Status: types.TaskSuccess, EndpointID: "ep-1", Result: result,
-			Time: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC),
-		}),
+		"taskstart":   EncodeTaskStart(&TaskStart{TaskID: "t-1", WorkerID: "w-1", ManagerID: "m-1"}),
+		"event":       EncodeEvent(event),
+		"event_frame": encodeEventFrame(event),
+		"event_stream": slices.Concat([]byte(EventHeartbeat), encodeEventFrame(event),
+			encodeEventFrame(&types.TaskEvent{Seq: 8, TaskID: "t-2", Status: types.TaskQueued}), []byte(EventGap)),
 	}
 }
 
@@ -183,16 +194,21 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("%s: round trip is not a fixed point:\n first %q\nsecond %q", c.name, enc1, enc2)
 			}
 		}
-		// DecodeEvent's cut of a trailing result must be invisible:
-		// same verdict and same event as a plain JSON decode.
-		var want types.TaskEvent
-		wantErr := json.Unmarshal(data, &want)
-		got, err := DecodeEvent(data)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("DecodeEvent(%q) error = %v, encoding/json says %v", data, err, wantErr)
+		// The stream reader takes the same bytes as a stream: one whole
+		// event frame reads as it decodes, and any input ends in an
+		// error after fewer frames than it has bytes.
+		r := NewEventReader(bytes.NewReader(data), 1<<16)
+		first, err := r.Next()
+		if want, wantErr := DecodeEventFrame(data); wantErr == nil && len(want.Result) <= 1<<16 {
+			if err != nil || !reflect.DeepEqual(first, want) {
+				t.Fatalf("EventReader.Next(%q) = %+v, %v; DecodeEventFrame says %+v", data, first, err, want)
+			}
 		}
-		if err == nil && !reflect.DeepEqual(*got, want) {
-			t.Fatalf("DecodeEvent(%q) = %+v, encoding/json says %+v", data, *got, want)
+		for n := 0; err == nil; n++ {
+			if n > len(data) {
+				t.Fatalf("EventReader read more than %d frames from %d bytes", n, len(data))
+			}
+			_, err = r.Next()
 		}
 	})
 }

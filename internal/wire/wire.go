@@ -2,23 +2,27 @@
 // funcX service, forwarders, endpoint agents, and managers, and kept
 // in the store and its WAL.
 //
-// The per-task records — a task, a batch of tasks, a result, and the
-// two signals a manager sends once or more per task, its capacity
-// advertisement and the execution-start signal — are binary frames
-// (frame.go). Payload and Output are opaque serialized buffers (see
+// The per-task records — a task, a batch of tasks, a result, the two
+// signals a manager sends once or more per task (its capacity
+// advertisement and the execution-start signal) and the task event of
+// a framed GET /v1/events stream — are binary frames (frame.go). Payload and Output are opaque serialized buffers (see
 // internal/serial) that ride raw behind a small header, so a hop
 // routes, leases and re-stamps a record without scanning its body
 // (paper §4.6), and a decoder hands the body out as a slice of its
 // input instead of copying it:
 //
-//	task, result, capacity, task start:
+//	task, result, capacity, task start, event, heartbeat, gap:
 //	  byte    format        0x01 task, 0x03 result, 0x04 capacity,
-//	                        0x05 task start
-//	  uint32  header length
+//	                        0x05 task start, 0x06 event, 0x07 heartbeat,
+//	                        0x08 gap
+//	  uint32  header length 0 for heartbeat and gap, which are nine
+//	                        bytes and say everything by their format
 //	  header  fields, each: byte tag | uvarint length | value
 //	  uint32  body length   everything left; 0 for capacity and task
 //	                        start, which are all header
-//	  body    Payload / Output, raw
+//	  body    Payload / Output, raw; for an event, the task's result
+//	          frame exactly as the store holds it (nothing for an
+//	          event that is not terminal, or that is replayed)
 //	batch:
 //	  byte    format        0x02
 //	  uvarint count
@@ -29,13 +33,21 @@
 // '{' or '[' was written by the JSON codec these frames replaced and
 // fails to decode with ErrLegacyJSON.
 //
+// Both ends of a framed GET /v1/events stream know where a frame ends
+// from its two lengths, so the stream is frames back to back with
+// nothing between them: the server writes an event's head
+// (AppendEventHead) and then the stored result, copying neither into
+// the other, and EventReader hands each event out with its Result in
+// one allocation of the frame's size.
+//
 // Everything else here is off the per-task path and stays JSON:
-// registrations, advice, status, DAG records, and the task event that
-// GET /v1/events streams (whose Result field carries a result frame).
+// registrations, advice, status, DAG records, and the Server-Sent
+// Events encoding of the task event (EncodeEvent, whose result member
+// is the result frame in base64), which GET /v1/events still answers
+// to a client that does not ask for frames.
 package wire
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -135,47 +147,13 @@ func EncodeEvent(e *types.TaskEvent) []byte {
 	return append(out, '"', '}')
 }
 
-// DecodeEvent unframes a task lifecycle event. Any JSON encoding of
-// the event is accepted; the one EncodeEvent writes is decoded without
-// a JSON scan of the result.
+// DecodeEvent unframes a task lifecycle event in the JSON encoding.
 func DecodeEvent(data []byte) (*types.TaskEvent, error) {
 	var e types.TaskEvent
-	if head, result, ok := cutResult(data); ok && json.Unmarshal(head, &e) == nil {
-		e.Result = result
-		return &e, nil
-	}
-	e = types.TaskEvent{}
 	if err := json.Unmarshal(data, &e); err != nil {
 		return nil, fmt.Errorf("wire: decoding event: %w", err)
 	}
 	return &e, nil
-}
-
-// cutResult splits an event that ends `,"result":"<base64>"}` into
-// the object without that member and the decoded result. The text
-// from the first resultKey on is plain base64 up to the closing `"}`
-// (a quote or an escape is not base64), and the text before it closes
-// into a complete object, which the caller's Unmarshal checks: so the
-// key sits between members of the outermost object and the whole is
-// the JSON it appears to be. ok is false for any other shape.
-func cutResult(data []byte) (head, result []byte, ok bool) {
-	body, ok := bytes.CutSuffix(data, []byte(`"}`))
-	at := bytes.Index(body, []byte(resultKey))
-	if !ok || at < 0 {
-		return nil, nil, false
-	}
-	// The comma needs a member before it, and base64.Decode skips
-	// line breaks that a JSON string may not hold.
-	front, b64 := bytes.TrimRight(body[:at], " \t\r\n"), body[at+len(resultKey):]
-	if bytes.HasSuffix(front, []byte("{")) || bytes.IndexByte(b64, '\n') >= 0 || bytes.IndexByte(b64, '\r') >= 0 {
-		return nil, nil, false
-	}
-	result, err := base64.StdEncoding.AppendDecode(nil, b64)
-	if err != nil || len(result) == 0 {
-		return nil, nil, false
-	}
-	head = append(make([]byte, 0, len(front)+1), front...)
-	return append(head, '}'), result, true
 }
 
 // EncodeDAG frames a dependency-graph record for the store (the
