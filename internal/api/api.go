@@ -147,8 +147,8 @@ func EncodeSubmitFrame(r *SubmitRequest) []byte {
 	})
 }
 
-// ErrServerField is returned by DecodeSubmitFrame for a frame that
-// sets a field only the service may write.
+// ErrServerField is returned by DecodeSubmitFrame and DecodeSubmitBatch
+// for a frame that sets a field only the service may write.
 var ErrServerField = errors.New("submission frame sets a server-owned field")
 
 // DecodeSubmitFrame reads a submission frame; the request's Payload
@@ -160,6 +160,34 @@ func DecodeSubmitFrame(data []byte) (SubmitRequest, error) {
 	if err != nil {
 		return SubmitRequest{}, err
 	}
+	return submissionOf(t)
+}
+
+// DecodeSubmitBatch reads several submissions for one target sent as one
+// body of a POST /v1/tasks of FrameMediaType: a batch frame
+// (wire.JoinTasks, told from one submission frame by wire.IsTaskBatch)
+// of the frames EncodeSubmitFrame made of each, which the service
+// answers with a SubmitBatchResponse. The submissions come back in
+// order, their Payloads aliasing data; each is held to what
+// DecodeSubmitFrame asks of one, and the error names the first that is
+// not.
+func DecodeSubmitBatch(data []byte) ([]SubmitRequest, error) {
+	ts, err := wire.DecodeTasks(data)
+	if err != nil {
+		return nil, err
+	}
+	reqs := make([]SubmitRequest, len(ts))
+	for i, t := range ts {
+		if reqs[i], err = submissionOf(t); err != nil {
+			return nil, fmt.Errorf("entry %d: %w", i, err)
+		}
+	}
+	return reqs, nil
+}
+
+// submissionOf is the submission a task frame holds, refusing a task
+// that carries anything the service stamps.
+func submissionOf(t *types.Task) (SubmitRequest, error) {
 	var set string
 	switch {
 	case t.ID != "":
@@ -205,6 +233,23 @@ type SubmitResponse struct {
 	// owner shard's bus, not the front door's.
 	ShardID  string `json:"shard_id,omitempty"`
 	ShardURL string `json:"shard_url,omitempty"`
+}
+
+// SubmitOutcome is what became of one submission of a batch frame: the
+// SubmitResponse a submission frame of its own would have been
+// answered with, or, when Status is set, the HTTP status and error text
+// it would have been refused with.
+type SubmitOutcome struct {
+	SubmitResponse
+	Status int    `json:"status,omitempty"`
+	Error  string `json:"error,omitempty"`
+}
+
+// SubmitBatchResponse answers a batch frame on POST /v1/tasks: one
+// outcome per submission, in the frame's order. The submissions are
+// independent; one refused does not hold back the rest.
+type SubmitBatchResponse struct {
+	Outcomes []SubmitOutcome `json:"outcomes"`
 }
 
 // DAGNodeSpec declares one node of a dependency graph: a task

@@ -1,9 +1,12 @@
 package api
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +129,47 @@ func TestSubmitFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeSubmitFrame([]byte(`{"function_id":"f"}`)); !errors.Is(err, wire.ErrLegacyJSON) {
 		t.Errorf("JSON under the frame type: %v, want ErrLegacyJSON", err)
+	}
+}
+
+// A batch frame is the submission frames of its entries behind their
+// lengths, the bytes wire.EncodeTasks writes, so each entry reads back
+// as it would alone, in order; an entry with a field of the service's is
+// refused by its index.
+func TestSubmitBatchRoundTrip(t *testing.T) {
+	in := []*SubmitRequest{
+		{FunctionID: "f", EndpointID: "e", Payload: []byte{0, '{', 0xff}, Memoize: true, Walltime: time.Minute},
+		{FunctionID: "g", EndpointID: "e", Labels: map[string]string{"site": "anl"}, BatchN: 3, MaxRetries: 2, AtMostOnce: true},
+		{},
+	}
+	frames := make([][]byte, len(in))
+	for i, r := range in {
+		frames[i] = EncodeSubmitFrame(r)
+	}
+	frame := wire.JoinTasks(frames)
+	out, err := DecodeSubmitBatch(frame)
+	if err != nil || len(out) != len(in) {
+		t.Fatalf("round trip = %d submissions, %v", len(out), err)
+	}
+	rest := frame[2:] // format, count
+	for i := range in {
+		if !reflect.DeepEqual(out[i], *in[i]) {
+			t.Errorf("entry %d = %+v, want %+v", i, out[i], *in[i])
+		}
+		if n := int(binary.BigEndian.Uint32(rest)); n != len(frames[i]) || !bytes.Equal(rest[4:4+n], frames[i]) {
+			t.Errorf("entry %d is not the frame it would be alone", i)
+		}
+		rest = rest[4+len(frames[i]):]
+	}
+	if tasks, err := wire.DecodeTasks(frame); err != nil || !bytes.Equal(wire.EncodeTasks(tasks), frame) {
+		t.Errorf("the batch frame is not what wire.EncodeTasks writes of its tasks (%v)", err)
+	}
+	owned := wire.EncodeTasks([]*types.Task{{FunctionID: "f"}, {FunctionID: "f", Owner: "root"}})
+	if _, err := DecodeSubmitBatch(owned); !errors.Is(err, ErrServerField) || !strings.Contains(err.Error(), "entry 1") {
+		t.Errorf("batch whose entry 1 names its owner: %v, want ErrServerField naming it", err)
+	}
+	if _, err := DecodeSubmitBatch(EncodeSubmitFrame(in[0])); err == nil {
+		t.Error("a submission frame decoded as a batch")
 	}
 }
 

@@ -29,12 +29,16 @@ func init() { register("streaming", Streaming) }
 //	        HPDC 2020 client), bounded fan-out
 //	wait    POST /v1/tasks/wait rounds: one blocking request carries
 //	        the whole outstanding set
-//	stream  futures resolved by one GET /v1/events SSE subscription
+//	stream  futures resolved by one GET /v1/events subscription
 //
-// Submission is identical across modes (batched), so the deltas are
-// pure retrieval cost. The wait and stream clients must issue at
-// least 10x fewer HTTP requests than the per-task poll client at
-// equal or better p99 result latency, with zero loss everywhere.
+// The poll and wait clients submit in batches of 500; the stream client
+// submits each task with SubmitFuture from as many goroutines as the
+// poll client has requests in flight, and the SDK has those callers
+// share submit requests. Submit requests are counted apart in every
+// mode, so the retrieval deltas are pure retrieval cost. The wait and
+// stream clients must issue at least 10x fewer retrieval requests than
+// the per-task poll client at equal or better p99 result latency, with
+// zero loss everywhere.
 func Streaming(opts Options) error {
 	tasks, concurrency := 5000, 512
 	if opts.Quick {
@@ -52,11 +56,12 @@ func Streaming(opts Options) error {
 	}
 
 	tbl := metrics.NewTable("client", "tasks", "HTTP reqs (total)", "HTTP reqs (retrieval)",
-		"reqs/task", "wall (s)", "p50 (ms)", "p99 (ms)")
+		"submitted (tasks in reqs)", "reqs/task", "wall (s)", "p50 (ms)", "p99 (ms)")
 	for _, mode := range modes {
 		r := runs[mode]
 		tbl.AddRow(mode, fmt.Sprint(tasks),
 			fmt.Sprint(r.totalReqs), fmt.Sprint(r.retrievalReqs),
+			fmt.Sprintf("%d in %d", tasks, r.submitReqs),
 			fmt.Sprintf("%.3f", float64(r.retrievalReqs)/float64(tasks)),
 			fmt.Sprintf("%.2f", r.wall.Seconds()),
 			fmt.Sprintf("%.1f", float64(r.lat.Percentile(50))/float64(time.Millisecond)),
@@ -83,8 +88,10 @@ func Streaming(opts Options) error {
 type streamingRun struct {
 	totalReqs     int64
 	retrievalReqs int64
-	wall          time.Duration
-	lat           *metrics.Summary
+	// submitReqs is the requests that carried the tasks to the service.
+	submitReqs int64
+	wall       time.Duration
+	lat        *metrics.Summary
 }
 
 // countingTransport counts HTTP requests issued by one client.
@@ -98,8 +105,8 @@ func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return t.base.RoundTrip(r)
 }
 
-// streamingMode boots a fresh fabric, submits the workload in batches,
-// and retrieves every result with the named client strategy.
+// streamingMode boots a fresh fabric, submits the workload, and
+// retrieves every result with the named client strategy.
 func streamingMode(opts Options, mode string, tasks, concurrency int) (*streamingRun, error) {
 	// Default heartbeats: tight (tens of ms) failure-detection windows
 	// starve under a 5k-task dispatch storm and drop healthy managers.
@@ -131,44 +138,66 @@ func streamingMode(opts Options, mode string, tasks, concurrency int) (*streamin
 		return nil, err
 	}
 
-	// Submit in batches of 500 — identical across modes, so request
-	// deltas below are pure retrieval cost.
-	const chunk = 500
+	run := &streamingRun{lat: metrics.NewSummaryCap(2 * tasks)}
 	ids := make([]types.TaskID, 0, tasks)
 	submittedAt := make(map[types.TaskID]time.Time, tasks)
-	start := time.Now()
-	for len(ids) < tasks {
-		n := min(chunk, tasks-len(ids))
-		submits := make([]api.SubmitRequest, n)
-		for i := range submits {
-			submits[i] = api.SubmitRequest{FunctionID: fnID, EndpointID: ep.ID}
-		}
-		chunkStart := time.Now()
-		got, err := client.RunBatch(ctx, submits)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range got {
-			submittedAt[id] = chunkStart
-			ids = append(ids, id)
-		}
-	}
-	// Everything from here on — the SSE connection, the futures'
-	// catch-up batch waits, the wait rounds, the long-polls — is
-	// retrieval traffic.
-	retrievalStart := ct.n.Load()
 	var futures []*sdk.Future
+	setupReqs := ct.n.Load()
+	start := time.Now()
 	if mode == "stream" {
-		for _, id := range ids {
-			f, err := client.FutureOf(id)
+		// One SubmitFuture per task. Those that find a submit request
+		// in flight share the next one, so the callers never batch by
+		// hand and still do not pay a request apiece.
+		type submitted struct {
+			f   *sdk.Future
+			at  time.Time
+			err error
+		}
+		out := make(chan submitted, tasks)
+		work := make(chan struct{}, tasks)
+		for range tasks {
+			work <- struct{}{}
+		}
+		close(work)
+		for range concurrency {
+			go func() {
+				for range work {
+					at := time.Now()
+					f, err := client.SubmitFuture(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID})
+					out <- submitted{f, at, err}
+				}
+			}()
+		}
+		for range tasks {
+			s := <-out
+			if s.err != nil {
+				return nil, s.err
+			}
+			submittedAt[s.f.TaskID()] = s.at
+			futures = append(futures, s.f)
+		}
+		run.submitReqs = client.Counters().SubmitRequests
+	} else {
+		const chunk = 500
+		for len(ids) < tasks {
+			n := min(chunk, tasks-len(ids))
+			submits := make([]api.SubmitRequest, n)
+			for i := range submits {
+				submits[i] = api.SubmitRequest{FunctionID: fnID, EndpointID: ep.ID}
+			}
+			chunkStart := time.Now()
+			got, err := client.RunBatch(ctx, submits)
 			if err != nil {
 				return nil, err
 			}
-			futures = append(futures, f)
+			for _, id := range got {
+				submittedAt[id] = chunkStart
+				ids = append(ids, id)
+			}
+			run.submitReqs++
 		}
 	}
 
-	run := &streamingRun{lat: metrics.NewSummaryCap(2 * tasks)}
 	var mu sync.Mutex
 	record := func(id types.TaskID, res *sdk.Result, err error) error {
 		if err != nil {
@@ -251,7 +280,10 @@ func streamingMode(opts Options, mode string, tasks, concurrency int) (*streamin
 
 	run.wall = time.Since(start)
 	run.totalReqs = ct.n.Load()
-	run.retrievalReqs = run.totalReqs - retrievalStart
+	// Everything but setup and submission — the event stream, the
+	// futures' catch-up batch waits, the wait rounds, the long-polls —
+	// is retrieval traffic.
+	run.retrievalReqs = run.totalReqs - setupReqs - run.submitReqs
 	if n := run.lat.Count(); n != int64(tasks) {
 		return nil, fmt.Errorf("task loss: %d/%d results retrieved", n, tasks)
 	}

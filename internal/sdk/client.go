@@ -4,8 +4,11 @@
 // (SubmitFuture / RunFuture / MapFuture, resolved by one shared event
 // stream consumer per client with batch-wait fallback), batched
 // result gathering (GetResults over POST /v1/tasks/wait), and the
-// user-driven batching Map command (fmap, §4.7). The Go client still
-// mirrors the Python FuncXClient of Listing 1:
+// user-driven batching Map command (fmap, §4.7). Submissions made
+// concurrently on one client to one endpoint or group share requests
+// (submit.go), so callers need not batch by hand to be spared a round
+// trip per task. The Go client still mirrors the Python FuncXClient of
+// Listing 1:
 //
 //	fc := sdk.New(serviceURL, token)
 //	defer fc.Close()
@@ -44,8 +47,8 @@ var ErrTaskFailed = errors.New("sdk: task failed")
 // typed error (it also matches ErrTaskFailed) instead of hanging.
 var ErrTaskLost = errors.New("sdk: task lost")
 
-// ErrUnsupported marks an API surface the server does not implement
-// (an older service); callers fall back to per-task paths.
+// ErrUnsupported marks an event stream the server does not serve as
+// frames; the stream consumer falls back to batched waits.
 var ErrUnsupported = errors.New("sdk: not supported by server")
 
 // ErrClosed is returned by future-producing calls on a closed client,
@@ -76,6 +79,12 @@ type Client struct {
 	mu        sync.Mutex
 	streamers map[string]*streamer
 	closed    bool
+
+	// submitMu guards the per-target submit queues (submit.go) and the
+	// counters they keep.
+	submitMu sync.Mutex
+	submits  map[submitTarget]*submitQueue
+	counters Counters
 }
 
 // New creates a client for the service at baseURL using the given
@@ -110,15 +119,17 @@ func (c *Client) WithHTTPClient(h *http.Client) *Client {
 	return c
 }
 
-// Close stops the background stream consumers, if any, and resolves
-// any still-pending futures with ErrClosed. The client remains usable
-// for plain (non-future) calls.
+// Close stops the background stream consumers, if any, resolves any
+// still-pending futures with ErrClosed, and fails with ErrClosed the
+// submissions queued behind a request in flight. The client remains
+// usable for plain (non-future) calls.
 func (c *Client) Close() {
 	c.mu.Lock()
 	sts := c.streamers
 	c.streamers = nil
 	c.closed = true
 	c.mu.Unlock()
+	c.closeSubmits()
 	for _, st := range sts {
 		st.stop()
 	}
@@ -178,10 +189,10 @@ func (c *Client) send(ctx context.Context, method, base, path, contentType strin
 	}
 	if resp.StatusCode >= 400 {
 		var e api.ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("sdk: %s %s: %s (HTTP %d)", method, path, e.Error, resp.StatusCode)
+		if json.Unmarshal(data, &e) != nil {
+			e.Error = "" // not an error document: the status speaks
 		}
-		return resp.StatusCode, fmt.Errorf("sdk: %s %s: HTTP %d", method, path, resp.StatusCode)
+		return resp.StatusCode, apiError(method, path, resp.StatusCode, e.Error)
 	}
 	if respBody != nil {
 		if err := json.Unmarshal(data, respBody); err != nil {
@@ -189,6 +200,15 @@ func (c *Client) send(ctx context.Context, method, base, path, contentType strin
 		}
 	}
 	return resp.StatusCode, nil
+}
+
+// apiError is the error of a request the service refused with status
+// and, when it said why, msg.
+func apiError(method, path string, status int, msg string) error {
+	if msg != "" {
+		return fmt.Errorf("sdk: %s %s: %s (HTTP %d)", method, path, msg, status)
+	}
+	return fmt.Errorf("sdk: %s %s: HTTP %d", method, path, status)
 }
 
 // RegisterFunction registers a function body, returning its id.
@@ -435,8 +455,10 @@ func (c *Client) Submit(ctx context.Context, spec SubmitSpec) (types.TaskID, typ
 // submit is the raw submission carrying the full wire response,
 // including the owner-shard hint futures pin their event streams to.
 // The task goes as a submission frame, its payload copied once and
-// raw; only a dependent submission, a one-node graph and like
-// POST /v1/dags a JSON record end to end, goes as JSON.
+// raw, alone or sharing a request with the client's other submissions
+// to the same target (submit.go); only a dependent submission, a
+// one-node graph and like POST /v1/dags a JSON record end to end, goes
+// as JSON.
 func (c *Client) submit(ctx context.Context, spec SubmitSpec) (api.SubmitResponse, error) {
 	req := api.SubmitRequest{
 		FunctionID: spec.Function, EndpointID: spec.Endpoint, GroupID: spec.Group,
@@ -445,13 +467,11 @@ func (c *Client) submit(ctx context.Context, spec SubmitSpec) (api.SubmitRespons
 		Walltime: spec.Walltime, MaxRetries: spec.MaxRetries, AtMostOnce: spec.AtMostOnce,
 		DependsOn: spec.DependsOn,
 	}
-	var resp api.SubmitResponse
-	var err error
-	if len(spec.DependsOn) > 0 {
-		_, err = c.do(ctx, http.MethodPost, "/v1/tasks", req, &resp)
-	} else {
-		_, err = c.send(ctx, http.MethodPost, "", "/v1/tasks", api.FrameMediaType, api.EncodeSubmitFrame(&req), &resp)
+	if len(spec.DependsOn) == 0 {
+		return c.submitFrame(ctx, &req)
 	}
+	var resp api.SubmitResponse
+	_, err := c.do(ctx, http.MethodPost, "/v1/tasks", req, &resp)
 	return resp, err
 }
 
@@ -668,8 +688,7 @@ const maxWaitIDs = 10000
 // overall deadline; a mid-batch failure returns the chunks already
 // gathered (their results were purged server-side on read and would
 // otherwise be lost) together with the error — callers must consume
-// the partial results even when err is non-nil. ErrUnsupported wraps
-// the error when the server predates the batch-wait API.
+// the partial results even when err is non-nil.
 func (c *Client) WaitTasks(ctx context.Context, ids []types.TaskID, wait time.Duration) ([]*Result, []types.TaskID, error) {
 	return c.waitTasksAt(ctx, "", ids, wait)
 }
@@ -723,11 +742,7 @@ func (c *Client) waitTasksOnce(ctx context.Context, base string, ids []types.Tas
 		req.Wait = wait.String()
 	}
 	var resp api.WaitTasksResponse
-	status, err := c.doAt(ctx, http.MethodPost, base, "/v1/tasks/wait", req, &resp)
-	if err != nil {
-		if status == http.StatusNotFound || status == http.StatusMethodNotAllowed {
-			err = fmt.Errorf("%w: %w", ErrUnsupported, err)
-		}
+	if _, err := c.doAt(ctx, http.MethodPost, base, "/v1/tasks/wait", req, &resp); err != nil {
 		return nil, nil, err
 	}
 	out := make([]*Result, len(resp.Results))
@@ -740,8 +755,7 @@ func (c *Client) waitTasksOnce(ctx context.Context, base string, ids []types.Tas
 // GetResults collects results for many tasks, preserving input order.
 // The whole batch rides one blocking wait request per round instead
 // of one long-poll per task, so a slow task no longer serializes the
-// rest (and N-1 round trips are saved). Older servers without the
-// batch-wait API fall back to bounded-concurrency per-task long-polls.
+// rest (and N-1 round trips are saved).
 func (c *Client) GetResults(ctx context.Context, ids []types.TaskID) ([]*Result, error) {
 	byID := make(map[types.TaskID]*Result, len(ids))
 	pending := make([]types.TaskID, 0, len(ids))
@@ -758,25 +772,6 @@ func (c *Client) GetResults(ctx context.Context, ids []types.TaskID) ([]*Result,
 		// server-side copies were purged on read.
 		for _, res := range done {
 			byID[res.TaskID] = res
-		}
-		if errors.Is(err, ErrUnsupported) {
-			// Fan out over the deduped unresolved set (a duplicate id
-			// would hang against purge-on-read) and fill duplicates
-			// from the map below.
-			remaining := make([]types.TaskID, 0, len(pending))
-			for _, id := range pending {
-				if _, ok := byID[id]; !ok {
-					remaining = append(remaining, id)
-				}
-			}
-			got, ferr := c.getResultsFanOut(ctx, remaining)
-			if ferr != nil {
-				return nil, ferr
-			}
-			for _, res := range got {
-				byID[res.TaskID] = res
-			}
-			break
 		}
 		if err != nil {
 			return nil, err
@@ -795,65 +790,6 @@ func (c *Client) GetResults(ctx context.Context, ids []types.TaskID) ([]*Result,
 	out := make([]*Result, len(ids))
 	for i, id := range ids {
 		out[i] = byID[id]
-	}
-	return out, nil
-}
-
-// pollFanOutLimit bounds concurrent per-task long-polls on the
-// legacy-server fallback paths, so one slow task still cannot
-// serialize a batch while thousands of sockets do not pile up either.
-const pollFanOutLimit = 16
-
-// pollEach runs fn(i, id) for every id on a fixed worker pool (never
-// more goroutines than the concurrency bound, whatever the batch
-// size), skipping ids once ctx is done.
-func pollEach(ctx context.Context, ids []types.TaskID, fn func(i int, id types.TaskID)) {
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(pollFanOutLimit, len(ids)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i, ids[i])
-			}
-		}()
-	}
-feed:
-	for i := range ids {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-}
-
-// getResultsFanOut is the legacy-server fallback: per-task long-polls
-// with bounded concurrency, failing fast on the first error.
-func (c *Client) getResultsFanOut(ctx context.Context, ids []types.TaskID) ([]*Result, error) {
-	out := make([]*Result, len(ids))
-	errs := make(chan error, len(ids))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	pollEach(ctx, ids, func(i int, id types.TaskID) {
-		r, err := c.GetResult(ctx, id)
-		if err != nil {
-			errs <- err
-			cancel()
-			return
-		}
-		out[i] = r
-	})
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

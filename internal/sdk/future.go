@@ -23,8 +23,7 @@ import (
 // task's terminal event with its result, so N outstanding futures cost
 // one HTTP request, not N long-polls. When the server cannot stream
 // frames, the consumer falls back to batched waits
-// (POST /v1/tasks/wait), and on servers with neither API to bounded
-// per-task long-polls — the future's surface is the same either way.
+// (POST /v1/tasks/wait) — the future's surface is the same either way.
 type Future struct {
 	c    *Client
 	id   types.TaskID
@@ -228,10 +227,6 @@ type streamer struct {
 	// loop swallow the other's wakeup and strand a future.
 	kick   chan struct{}
 	fbKick chan struct{}
-	// polling claims ids with a per-task long-poll in flight (the
-	// legacy-server last resort), so repeated resolution rounds never
-	// spawn duplicate polls for the same task.
-	polling map[types.TaskID]bool
 	// stash holds terminal results that arrived on the stream before
 	// their future registered. The server purges a result's store copy
 	// once its inline event is delivered on the owner's stream
@@ -269,7 +264,6 @@ func (c *Client) ensureStreamer(base string) (*streamer, error) {
 			c: c, base: base, ctx: ctx, cancel: cancel,
 			futures: make(map[types.TaskID]*Future),
 			verify:  make(map[types.TaskID]bool),
-			polling: make(map[types.TaskID]bool),
 			stash:   make(map[types.TaskID]*Result),
 			kick:    make(chan struct{}, 1),
 			fbKick:  make(chan struct{}, 1),
@@ -670,18 +664,6 @@ func (st *streamer) verifyLoop() {
 			st.resolveOrStash(res.TaskID, res)
 		}
 		if err != nil {
-			if errors.Is(err, ErrUnsupported) {
-				// No batch wait either: resolve these via bounded
-				// per-task long-polls, detached so one lost task's
-				// endless poll cannot wedge the loop for futures
-				// registered later.
-				st.wg.Add(1)
-				go func(ids []types.TaskID) {
-					defer st.wg.Done()
-					st.resolveByPolling(ids)
-				}(ids)
-				continue
-			}
 			// Retry the whole set on the next kick, backing off while
 			// the error persists (it may be permanent: revoked token,
 			// server fault).
@@ -727,26 +709,6 @@ func (st *streamer) fallbackLoop() {
 			st.resolveOrStash(res.TaskID, res)
 		}
 		if err != nil {
-			if errors.Is(err, ErrUnsupported) {
-				// Neither streaming nor batch wait: last-resort
-				// bounded per-task long-polls, detached so a lost
-				// task cannot wedge resolution for later futures.
-				st.wg.Add(1)
-				go func(ids []types.TaskID) {
-					defer st.wg.Done()
-					st.resolveByPolling(ids)
-				}(ids)
-				// Pace the next round: wake early for new
-				// registrations, otherwise re-offer pending ids after
-				// roughly one poll cycle (claimed ids are skipped).
-				select {
-				case <-st.ctx.Done():
-					return
-				case <-st.fbKick:
-				case <-time.After(st.c.WaitHint + st.c.PollInterval):
-				}
-				continue
-			}
 			select {
 			case <-st.ctx.Done():
 				return
@@ -766,35 +728,4 @@ func (st *streamer) fallbackLoop() {
 			}
 		}
 	}
-}
-
-// resolveByPolling resolves the given futures with bounded-concurrency
-// per-task long-polls (legacy servers). Unlike getResultsFanOut it
-// does not fail fast: each future resolves independently, and ones
-// whose poll errors stay pending until Close fails them. Ids already
-// claimed by an in-flight poll are skipped, so callers may re-offer
-// the whole pending set every round without duplicating polls.
-func (st *streamer) resolveByPolling(ids []types.TaskID) {
-	st.mu.Lock()
-	mine := make([]types.TaskID, 0, len(ids))
-	for _, id := range ids {
-		if !st.polling[id] {
-			st.polling[id] = true
-			mine = append(mine, id)
-		}
-	}
-	st.mu.Unlock()
-	if len(mine) == 0 {
-		return
-	}
-	pollEach(st.ctx, mine, func(_ int, id types.TaskID) {
-		res, err := st.c.getResultAt(st.ctx, st.base, id)
-		st.mu.Lock()
-		delete(st.polling, id)
-		st.mu.Unlock()
-		if err != nil {
-			return // ctx canceled or transport down
-		}
-		st.resolveOrStash(id, res)
-	})
 }

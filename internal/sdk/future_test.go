@@ -258,43 +258,6 @@ func TestGetResultsBatchWaitPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestGetResultsLegacyFanOut(t *testing.T) {
-	c, svc := testClient(t)
-	// A server with neither wait nor events: GetResults falls back to
-	// bounded per-task long-polls.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/tasks/wait" || r.URL.Path == "/v1/events" {
-			http.NotFound(w, r)
-			return
-		}
-		svc.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	legacy := New(srv.URL, c.token)
-	legacy.PollInterval = time.Millisecond
-	legacy.WaitHint = 50 * time.Millisecond
-	fnID, epID := fixture(t, legacy)
-	ctx := getCtx(t)
-	var ids []types.TaskID
-	for i := 0; i < 3; i++ {
-		id, err := legacy.Run(ctx, fnID, epID, []byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-		complete(svc, id, float64(i))
-	}
-	results, err := legacy.GetResults(ctx, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if v, err := res.Value(nil); err != nil || v.(float64) != float64(i) {
-			t.Fatalf("fan-out result %d = %v, %v", i, v, err)
-		}
-	}
-}
-
 func TestMapFutureGathersPackedBatches(t *testing.T) {
 	c, svc := testClient(t)
 	t.Cleanup(c.Close)
@@ -356,8 +319,25 @@ func waitCounter(t *testing.T, svc *service.Service) (srv *httptest.Server, wait
 	return srv, waits, streams
 }
 
+// attach submits a task and attaches a future to it by id: a future the
+// consumer always verifies, however early its subscription went live
+// (SubmitFuture's, begun under a subscription already live, is not).
+func attach(t *testing.T, ctx context.Context, c *Client, spec SubmitSpec) *Future {
+	t.Helper()
+	id, _, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.FutureOf(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // awaitLive waits until c's front-door subscription is live and its
-// opening reconcile is done, and returns the wait requests so far.
+// opening reconcile, of at least one future, is done, and returns the
+// wait requests so far.
 func awaitLive(t *testing.T, c *Client, waits *atomic.Int64) int64 {
 	t.Helper()
 	st, err := c.ensureStreamer("")
@@ -392,12 +372,8 @@ func TestSubmitFutureUnderLiveStreamSkipsVerify(t *testing.T) {
 	fnID, epID := fixture(t, c)
 	ctx := getCtx(t)
 
-	// The first future starts the consumer; its subscription is fresh,
-	// so it is verified.
-	first, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The first future starts the consumer and is verified.
+	first := attach(t, ctx, c, SubmitSpec{Function: fnID, Endpoint: epID})
 	before := awaitLive(t, c, waits)
 
 	for i := range 8 {
@@ -455,10 +431,7 @@ func TestOversizeStreamResultResolvesByVerify(t *testing.T) {
 	fnID, epID := fixture(t, c)
 	ctx := getCtx(t)
 
-	big, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := attach(t, ctx, c, SubmitSpec{Function: fnID, Endpoint: epID})
 	before := awaitLive(t, c, waits)
 	output := make([]byte, maxStreamResult+1)
 	output[len(output)-1] = 0x7f

@@ -357,6 +357,32 @@ func TestGatewayRelaysFrameSubmitVerbatim(t *testing.T) {
 		t.Fatalf("proxied = %d, want 1", n)
 	}
 
+	// A batch frame goes by its one key the same way, and every outcome
+	// names the shard that placed it.
+	coalesced := batchFrame(
+		&api.SubmitRequest{FunctionID: fn.FunctionID, EndpointID: ep.ID, Payload: payload},
+		&api.SubmitRequest{FunctionID: "no-such-function", EndpointID: ep.ID},
+		&api.SubmitRequest{FunctionID: fn.FunctionID, EndpointID: ep.ID, Payload: []byte("third")},
+	)
+	code, outcomes, _ := postBatchFrame(t, base, token, coalesced)
+	if code != http.StatusOK || len(outcomes) != 3 || outcomes[1].Status != http.StatusNotFound {
+		t.Fatalf("batch frame at the wrong shard = %d, %+v", code, outcomes)
+	}
+	if hop = <-hops; hop.contentType != api.FrameMediaType || !bytes.Equal(hop.body, coalesced) || hop.hop != "shard-a" {
+		t.Fatalf("the owner was sent %d bytes of %q from %q, want the %d-byte batch frame as it arrived", len(hop.body), hop.contentType, hop.hop, len(coalesced))
+	}
+	for _, i := range []int{0, 2} {
+		if o := outcomes[i]; o.ShardID != "shard-b" || o.ShardURL != svcs[1].cfg.Ring.Self().BaseURL || o.EndpointID != ep.ID {
+			t.Fatalf("outcome %d = %+v, want it stamped by shard-b", i, o)
+		}
+	}
+	if task := stored(outcomes[0].TaskID); !bytes.Equal(task.Payload, payload) {
+		t.Fatalf("owner stored %d payload bytes of the batch's first entry, want %d", len(task.Payload), len(payload))
+	}
+	if task := stored(outcomes[2].TaskID); string(task.Payload) != "third" {
+		t.Fatalf("owner stored %q for the batch's third entry", task.Payload)
+	}
+
 	// A hop that still misses is a ring disagreement, frame or not.
 	foreign := mintForeign(t, svcs[0].cfg.Ring, types.NewEndpointID, shard.EndpointKey)
 	missed := api.EncodeSubmitFrame(&api.SubmitRequest{FunctionID: fn.FunctionID, EndpointID: foreign})

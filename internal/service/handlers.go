@@ -146,22 +146,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+	writeJSON(w, errorStatus(err), api.ErrorResponse{Error: err.Error()})
+}
+
+// errorStatus is the HTTP status a service error is answered with.
+func errorStatus(err error) int {
 	switch {
 	case errors.Is(err, registry.ErrNotFound):
-		status = http.StatusNotFound
+		return http.StatusNotFound
 	case errors.Is(err, registry.ErrForbidden), errors.Is(err, auth.ErrScope):
-		status = http.StatusForbidden
+		return http.StatusForbidden
 	case errors.Is(err, registry.ErrConflict):
-		status = http.StatusConflict
+		return http.StatusConflict
 	case errors.Is(err, auth.ErrInvalidToken), errors.Is(err, auth.ErrExpiredToken):
-		status = http.StatusUnauthorized
+		return http.StatusUnauthorized
 	case errors.Is(err, ErrPayloadTooLarge):
-		status = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrInvalidRequest):
-		status = http.StatusBadRequest
+		return http.StatusBadRequest
 	}
-	writeJSON(w, status, api.ErrorResponse{Error: err.Error()})
+	return http.StatusInternalServerError
 }
 
 // bodySlack is the room a request body gets beyond its payloads: JSON
@@ -175,7 +179,7 @@ const bodySlack = 1 << 20
 // parsed once; anything after the JSON value is an error.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any, tasks int) bool {
 	perTask := int64(base64.StdEncoding.EncodedLen(max(s.cfg.MaxPayloadSize, 0)) + bodySlack)
-	data, ok := s.readBody(w, r, int64(tasks)*perTask, perTask)
+	data, ok := s.readBody(w, r, nil, int64(tasks)*perTask, perTask)
 	if !ok {
 		return false
 	}
@@ -188,25 +192,28 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any, task
 
 // readBody reads a request body of at most limit bytes (any length
 // when Config.MaxPayloadSize is negative) into one buffer sized from
-// Content-Length, which is trusted for no more than trust bytes.
-func (s *Service) readBody(w http.ResponseWriter, r *http.Request, limit, trust int64) ([]byte, bool) {
+// Content-Length, which is trusted for no more than trust bytes. head
+// is what the caller has taken off the body already; it counts against
+// limit and opens the buffer.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request, head []byte, limit, trust int64) ([]byte, bool) {
 	body := r.Body
 	if s.cfg.MaxPayloadSize >= 0 {
 		if r.ContentLength > limit {
 			writeError(w, fmt.Errorf("%w: request body of %d bytes exceeds %d", ErrPayloadTooLarge, r.ContentLength, limit))
 			return nil, false
 		}
-		body = http.MaxBytesReader(w, body, limit)
+		body = http.MaxBytesReader(w, body, limit-int64(len(head)))
 	}
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
 		// MinRead spare bytes let ReadFrom see EOF without growing.
 		buf.Grow(int(min(r.ContentLength, trust)) + bytes.MinRead)
 	}
+	buf.Write(head)
 	if _, err := buf.ReadFrom(body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, fmt.Errorf("%w: request body exceeds %d bytes", ErrPayloadTooLarge, tooLarge.Limit))
+			writeError(w, fmt.Errorf("%w: request body exceeds %d bytes", ErrPayloadTooLarge, limit))
 		} else {
 			writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "reading request: " + err.Error()})
 		}
@@ -215,28 +222,21 @@ func (s *Service) readBody(w http.ResponseWriter, r *http.Request, limit, trust 
 	return buf.Bytes(), true
 }
 
-// decodeSubmit reads the body of POST /v1/tasks in the encoding its
-// Content-Type declares: a submission frame under api.FrameMediaType,
-// whose payload is not expanded and is handed on as a slice of the
-// body, and JSON under anything else. relay is the body as a shard that
-// does not own the submission forwards it: a frame goes on as the bytes
-// that arrived.
-func (s *Service) decodeSubmit(w http.ResponseWriter, r *http.Request) (req api.SubmitRequest, relay any, ok bool) {
-	if !api.IsFrameType(r.Header.Get("Content-Type")) {
-		ok = s.decodeBody(w, r, &req, 1)
-		return req, req, ok
+// readSubmitFrame reads the body of a POST /v1/tasks of
+// api.FrameMediaType: one submission frame, or a batch frame of up to
+// maxWaitBatch of them. Payloads are not expanded in a frame, so a
+// submission may take Config.MaxPayloadSize plus bodySlack, and a batch
+// as many times that as the JSON batch gets; which of the two bounds
+// holds is decided by the format byte, read ahead of the rest.
+func (s *Service) readSubmitFrame(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	perTask := int64(max(s.cfg.MaxPayloadSize, 0) + bodySlack)
+	var format [1]byte
+	n, _ := io.ReadFull(r.Body, format[:]) // an empty or failing body is read again, and reported, below
+	limit := perTask
+	if wire.IsTaskBatch(format[:n]) {
+		limit *= maxWaitBatch
 	}
-	limit := int64(max(s.cfg.MaxPayloadSize, 0) + bodySlack)
-	data, ok := s.readBody(w, r, limit, limit)
-	if !ok {
-		return req, nil, false
-	}
-	req, err := api.DecodeSubmitFrame(data)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "malformed request: " + err.Error()})
-		return req, nil, false
-	}
-	return req, rawBody{contentType: api.FrameMediaType, data: data}, true
+	return s.readBody(w, r, format[:n], limit, perTask)
 }
 
 func claimsOf(r *http.Request) *auth.Claims {
@@ -404,14 +404,21 @@ func submissionOf(t api.SubmitRequest) Submission {
 	}
 }
 
+// handleSubmit is POST /v1/tasks in the encoding its Content-Type
+// declares: a submission frame or a batch frame of them under
+// api.FrameMediaType, JSON under anything else.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, relay, ok := s.decodeSubmit(w, r)
-	if !ok {
+	if api.IsFrameType(r.Header.Get("Content-Type")) {
+		s.handleSubmitFrame(w, r)
+		return
+	}
+	var req api.SubmitRequest
+	if !s.decodeBody(w, r, &req, 1) {
 		return
 	}
 	// Cross-shard: the task belongs wherever its group or endpoint
 	// lives; a wrong-shard arrival is proxied to the owner.
-	if key, ok := submitKey(req); ok && s.routeByKey(w, r, key, relay) {
+	if key, ok := submitKey(req); ok && s.routeByKey(w, r, key, req) {
 		return
 	}
 	if len(req.DependsOn) > 0 {
@@ -428,14 +435,94 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, resp)
 		return
 	}
-	id, epID, memoized, err := s.SubmitTaskAt(claimsOf(r).Subject, submissionOf(req), arrivalOf(r))
+	s.answerSubmit(w, r, req)
+}
+
+// answerSubmit places req and answers r with what became of it.
+func (s *Service) answerSubmit(w http.ResponseWriter, r *http.Request, req api.SubmitRequest) {
+	resp, err := s.submitOne(r, req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	writeJSON(w, http.StatusAccepted, resp)
+}
+
+// submitOne places one submission of r, stamped with r's arrival time
+// and this shard's identity.
+func (s *Service) submitOne(r *http.Request, req api.SubmitRequest) (api.SubmitResponse, error) {
+	id, epID, memoized, err := s.SubmitTaskAt(claimsOf(r).Subject, submissionOf(req), arrivalOf(r))
+	if err != nil {
+		return api.SubmitResponse{}, err
+	}
 	resp := api.SubmitResponse{TaskID: id, EndpointID: epID, Memoized: memoized}
 	s.stampShard(&resp)
-	writeJSON(w, http.StatusAccepted, resp)
+	return resp, nil
+}
+
+// handleSubmitFrame is POST /v1/tasks of api.FrameMediaType. A payload
+// is not expanded in a frame and is handed on as a slice of the body; a
+// shard that does not own the target relays the body as the bytes that
+// arrived. A batch frame is so many independent submissions for one
+// target (the relay goes by one key), each placed as a frame of its own
+// would have been and answered with its own outcome: one that is
+// refused leaves the rest alone.
+func (s *Service) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
+	data, ok := s.readSubmitFrame(w, r)
+	if !ok {
+		return
+	}
+	var first api.SubmitRequest // the one submission, or a batch's first
+	var batch []api.SubmitRequest
+	var err error
+	if wire.IsTaskBatch(data) {
+		if batch, err = decodeSubmitBatch(data); err == nil {
+			first = batch[0]
+		}
+	} else {
+		first, err = api.DecodeSubmitFrame(data)
+	}
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "malformed request: " + err.Error()})
+		return
+	}
+	if key, ok := submitKey(first); ok && s.routeByKey(w, r, key, rawBody{contentType: api.FrameMediaType, data: data}) {
+		return
+	}
+	if batch == nil {
+		s.answerSubmit(w, r, first)
+		return
+	}
+	outcomes := make([]api.SubmitOutcome, len(batch))
+	for i, req := range batch {
+		resp, err := s.submitOne(r, req)
+		if err != nil {
+			outcomes[i] = api.SubmitOutcome{Status: errorStatus(err), Error: err.Error()}
+			continue
+		}
+		outcomes[i].SubmitResponse = resp
+	}
+	writeJSON(w, http.StatusOK, api.SubmitBatchResponse{Outcomes: outcomes})
+}
+
+// decodeSubmitBatch opens a batch frame of one to maxWaitBatch
+// submissions that all name the first one's target.
+func decodeSubmitBatch(data []byte) ([]api.SubmitRequest, error) {
+	reqs, err := api.DecodeSubmitBatch(data)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(reqs) == 0:
+		return nil, errors.New("batch frame of no submissions")
+	case len(reqs) > maxWaitBatch:
+		return nil, fmt.Errorf("batch frame of %d submissions exceeds the %d-submission limit", len(reqs), maxWaitBatch)
+	}
+	for i, req := range reqs {
+		if req.EndpointID != reqs[0].EndpointID || req.GroupID != reqs[0].GroupID {
+			return nil, fmt.Errorf("entry %d: a batch frame carries submissions for one endpoint or group", i)
+		}
+	}
+	return reqs, nil
 }
 
 // handleSubmitDAG is POST /v1/dags: one request submits a whole

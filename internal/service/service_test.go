@@ -473,8 +473,9 @@ func TestSubmitFrameStoresTheSameTask(t *testing.T) {
 }
 
 // A frame body is bounded like a JSON one, without the base64
-// allowance, and is one frame of submission fields: anything else
-// under the frame type is a malformed request.
+// allowance, and is one frame of submission fields (or a batch frame of
+// them: TestSubmitBatchFrame): anything else under the frame type is a
+// malformed request.
 func TestSubmitFrameBoundedAndValidated(t *testing.T) {
 	svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, MaxPayloadSize: 64})
 	defer svc.Close()
@@ -505,7 +506,6 @@ func TestSubmitFrameBoundedAndValidated(t *testing.T) {
 		"a frame cut short":             {bytes.NewReader(valid[:len(valid)-1]), http.StatusBadRequest},
 		"no body":                       {bytes.NewReader(nil), http.StatusBadRequest},
 		"JSON under the frame type":     {bytes.NewReader(asJSON), http.StatusBadRequest},
-		"a batch frame":                 {bytes.NewReader(wire.EncodeTasks([]*types.Task{{FunctionID: fnID, EndpointID: epID}})), http.StatusBadRequest},
 		"a frame that names its owner":  {bytes.NewReader(wire.EncodeTask(&types.Task{FunctionID: fnID, EndpointID: epID, Owner: "root"})), http.StatusBadRequest},
 		"a frame that names its id":     {bytes.NewReader(wire.EncodeTask(&types.Task{FunctionID: fnID, EndpointID: epID, ID: "mine"})), http.StatusBadRequest},
 		"a frame with a trace context":  {bytes.NewReader(wire.EncodeTask(&types.Task{FunctionID: fnID, EndpointID: epID, Trace: &types.TraceContext{}})), http.StatusBadRequest},
@@ -518,6 +518,171 @@ func TestSubmitFrameBoundedAndValidated(t *testing.T) {
 	// The frame itself under any other type is not JSON.
 	if code, _ := postAs(t, srv.URL, token, "/v1/tasks", "application/json", bytes.NewReader(valid)); code != http.StatusBadRequest {
 		t.Errorf("a frame posted as JSON = %d, want 400", code)
+	}
+}
+
+// batchFrame is the batch frame of reqs.
+func batchFrame(reqs ...*api.SubmitRequest) []byte {
+	frames := make([][]byte, len(reqs))
+	for i, r := range reqs {
+		frames[i] = api.EncodeSubmitFrame(r)
+	}
+	return wire.JoinTasks(frames)
+}
+
+// postBatchFrame posts body as a frame and returns the status with the
+// outcomes of a batch, or the error text of a refusal.
+func postBatchFrame(t *testing.T, base, token string, body []byte) (int, []api.SubmitOutcome, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/tasks", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	req.Header.Set("Content-Type", api.FrameMediaType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		api.SubmitBatchResponse
+		api.ErrorResponse
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out.Outcomes, out.Error
+}
+
+// A batch frame on POST /v1/tasks is so many independent submissions:
+// each gets, in order, the response or the status and error text a
+// frame of its own would have got, and one refused leaves the others
+// placed. The same entries as a JSON batch are still refused whole.
+func TestSubmitBatchFrame(t *testing.T) {
+	svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, MaxPayloadSize: 64})
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	token := svc.MintUserToken("alice", auth.ScopeAll)
+	fnID, epID := registerFixture(t, srv, token)
+	private, err := svc.Registry.RegisterFunction("bob", "private", []byte("def g(): pass"), types.ContainerSpec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	entries := []*api.SubmitRequest{
+		{FunctionID: fnID, EndpointID: epID, Payload: []byte("first")},
+		{FunctionID: "no-such-function", EndpointID: epID},
+		{FunctionID: fnID, EndpointID: epID, Payload: make([]byte, 65)},
+		{FunctionID: fnID, EndpointID: epID, Walltime: -1},
+		{FunctionID: private.ID, EndpointID: epID},
+		{FunctionID: fnID, EndpointID: epID, Payload: []byte("last"), Memoize: true},
+	}
+	want := []int{0, http.StatusNotFound, http.StatusRequestEntityTooLarge, http.StatusBadRequest, http.StatusForbidden, 0}
+	before := svc.StatsSnapshot().Submitted
+	code, outcomes, _ := postBatchFrame(t, srv.URL, token, batchFrame(entries...))
+	if code != http.StatusOK || len(outcomes) != len(entries) {
+		t.Fatalf("batch frame = %d with %d outcomes, want 200 with %d", code, len(outcomes), len(entries))
+	}
+	for i, o := range outcomes {
+		if o.Status != want[i] {
+			t.Errorf("entry %d: status %d (%s), want %d", i, o.Status, o.Error, want[i])
+		}
+		if want[i] != 0 {
+			// What the same entry is told on its own.
+			alone, _, text := postBatchFrame(t, srv.URL, token, api.EncodeSubmitFrame(entries[i]))
+			if o.Status != alone || o.Error != text || o.TaskID != "" {
+				t.Errorf("entry %d: outcome %d %q (task %q), alone it gets %d %q", i, o.Status, o.Error, o.TaskID, alone, text)
+			}
+			continue
+		}
+		data, ok := svc.Store.Hash(tasksHash).Get(string(o.TaskID))
+		if !ok || o.EndpointID != epID {
+			t.Fatalf("entry %d: outcome %+v, stored %v", i, o, ok)
+		}
+		if task, err := wire.DecodeTask(data); err != nil || !bytes.Equal(task.Payload, entries[i].Payload) || task.Memoize != entries[i].Memoize || task.Owner != "alice" {
+			t.Errorf("entry %d stored %+v, %v", i, task, err)
+		}
+	}
+	if got := svc.StatsSnapshot().Submitted - before; got != 2 {
+		t.Errorf("%d tasks accepted, want the 2 that were valid", got)
+	}
+
+	asJSON := api.BatchSubmitRequest{}
+	for _, e := range entries {
+		asJSON.Tasks = append(asJSON.Tasks, *e)
+	}
+	before = svc.StatsSnapshot().Submitted
+	if code := doJSON(t, srv, token, http.MethodPost, "/v1/tasks/batch", asJSON, nil); code != http.StatusNotFound {
+		t.Errorf("the same entries as a JSON batch = %d, want the first bad entry's 404 for all", code)
+	}
+	if after := svc.StatsSnapshot().Submitted; after != before {
+		t.Errorf("a refused JSON batch accepted %d tasks", after-before)
+	}
+}
+
+// A batch frame is refused whole when it is not N submissions for one
+// target: nothing of it is placed.
+func TestSubmitBatchFrameBoundedAndValidated(t *testing.T) {
+	svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, MaxPayloadSize: 64})
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	token := svc.MintUserToken("alice", auth.ScopeAll)
+	fnID, epID := registerFixture(t, srv, token)
+
+	ok := types.Task{FunctionID: fnID, EndpointID: epID, Payload: make([]byte, 64)}
+	batch := func(n int, last types.Task) []byte {
+		ts := make([]*types.Task, n)
+		for i := range ts {
+			ts[i] = &ok
+		}
+		ts[n-1] = &last
+		return wire.EncodeTasks(ts)
+	}
+	full := batch(maxWaitBatch, ok)
+	if single := int(svc.cfg.MaxPayloadSize) + bodySlack; len(full) <= single {
+		t.Fatalf("a full batch is %d bytes, inside the %d a single frame may have: the test needs bigger entries", len(full), single)
+	}
+	for _, c := range []struct {
+		name   string
+		body   []byte
+		want   int
+		naming string
+	}{
+		{"a full batch, longer than any single frame", full, http.StatusOK, ""},
+		{"one entry too many", batch(maxWaitBatch+1, ok), http.StatusBadRequest, "10000"},
+		{"no entries", wire.EncodeTasks(nil), http.StatusBadRequest, "no submissions"},
+		{"another endpoint in entry 2", batch(3, types.Task{FunctionID: fnID, EndpointID: "elsewhere"}), http.StatusBadRequest, "entry 2"},
+		{"a group in entry 1", batch(2, types.Task{FunctionID: fnID, EndpointID: epID, GroupID: "g"}), http.StatusBadRequest, "entry 1"},
+		{"an owner in entry 2", batch(3, types.Task{FunctionID: fnID, EndpointID: epID, Owner: "root"}), http.StatusBadRequest, "entry 2: " + api.ErrServerField.Error()},
+		{"an id in entry 0", batch(1, types.Task{FunctionID: fnID, EndpointID: epID, ID: "mine"}), http.StatusBadRequest, "entry 0: " + api.ErrServerField.Error()},
+		{"a batch cut short", full[:len(full)-1], http.StatusBadRequest, ""},
+		{"a byte after the batch", append(batch(2, ok), 0), http.StatusBadRequest, ""},
+	} {
+		before := svc.StatsSnapshot().Submitted
+		code, outcomes, text := postBatchFrame(t, srv.URL, token, c.body)
+		if code != c.want || !strings.Contains(text, c.naming) {
+			t.Errorf("%s = %d %q, want %d naming %q", c.name, code, text, c.want, c.naming)
+		}
+		if accepted := svc.StatsSnapshot().Submitted - before; c.want != http.StatusOK && accepted != 0 {
+			t.Errorf("%s: %d tasks were accepted before the refusal", c.name, accepted)
+		} else if c.want == http.StatusOK && (accepted != maxWaitBatch || len(outcomes) != maxWaitBatch) {
+			t.Errorf("%s: %d accepted, %d outcomes", c.name, accepted, len(outcomes))
+		}
+	}
+
+	// Over what maxWaitBatch submissions may take, the body is refused by
+	// its declared length, before any of it is read.
+	req := httptest.NewRequest(http.MethodPost, "/v1/tasks", bytes.NewReader(batch(2, ok)))
+	req.Header.Set("Authorization", "Bearer "+token)
+	req.Header.Set("Content-Type", api.FrameMediaType)
+	req.ContentLength = int64(maxWaitBatch)*int64(64+bodySlack) + 1
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a batch body declared over the bound = %d, want 413", rec.Code)
 	}
 }
 

@@ -268,6 +268,21 @@ func EncodeTasks(ts []*types.Task) []byte {
 	return b
 }
 
+// JoinTasks frames a batch out of task frames already encoded: the
+// bytes EncodeTasks makes of the tasks they hold.
+func JoinTasks(frames [][]byte) []byte {
+	size := 1 + binary.MaxVarintLen64
+	for _, f := range frames {
+		size += 4 + len(f)
+	}
+	b := append(make([]byte, 0, size), formatTasks)
+	b = binary.AppendUvarint(b, uint64(len(frames)))
+	for _, f := range frames {
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
+	}
+	return b
+}
+
 // EncodeResult frames a result for transport and the store.
 func EncodeResult(r *types.Result) []byte {
 	var scratch [headerRoom]byte
@@ -547,6 +562,11 @@ func DecodeTask(data []byte) (*types.Task, error) {
 	}
 	return t, nil
 }
+
+// IsTaskBatch reports whether data declares itself a batch of tasks
+// (DecodeTasks) by its format byte, where a reader takes either that or
+// one task frame.
+func IsTaskBatch(data []byte) bool { return len(data) > 0 && data[0] == formatTasks }
 
 // DecodeTasks unframes a batch of tasks; their Payloads alias data.
 func DecodeTasks(data []byte) ([]*types.Task, error) {

@@ -119,6 +119,17 @@ func TestEveryFieldRoundTrips(t *testing.T) {
 	if out, err := DecodeTasks(EncodeTasks(nil)); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}
+	// A batch joined out of frames is the batch encoded out of tasks.
+	frames := make([][]byte, len(in))
+	for i, task := range in {
+		frames[i] = EncodeTask(task)
+	}
+	if joined := JoinTasks(frames); !bytes.Equal(joined, EncodeTasks(in)) || !IsTaskBatch(joined) || IsTaskBatch(frames[0]) || IsTaskBatch(nil) {
+		t.Fatalf("JoinTasks = %q, want EncodeTasks' %q, and IsTaskBatch true of it alone", joined, EncodeTasks(in))
+	}
+	if !bytes.Equal(JoinTasks(nil), EncodeTasks(nil)) {
+		t.Fatal("an empty joined batch is not an empty encoded batch")
+	}
 }
 
 // encodeEventFrame is an event frame in one buffer: what a stream

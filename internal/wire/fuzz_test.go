@@ -132,8 +132,15 @@ func frameSeeds() map[string][]byte {
 		DAGID: "dag-1", Time: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC),
 	}
 	return map[string][]byte{
-		"task":        EncodeTask(seedTask),
-		"tasks":       EncodeTasks([]*types.Task{seedTask, {ID: "t-2", Payload: []byte("y")}, {}}),
+		"task":  EncodeTask(seedTask),
+		"tasks": EncodeTasks([]*types.Task{seedTask, {ID: "t-2", Payload: []byte("y")}, {}}),
+		// What a client's concurrent submissions to one endpoint share a
+		// POST /v1/tasks as: tasks with nothing the service stamps.
+		"tasks_submit": EncodeTasks([]*types.Task{
+			{FunctionID: "fn-1", EndpointID: "ep-1", Payload: []byte(`{"args":[1,2]}`), Memoize: true},
+			{FunctionID: "fn-2", EndpointID: "ep-1", Walltime: time.Minute, MaxRetries: 3, AtMostOnce: true},
+			{FunctionID: "fn-1", EndpointID: "ep-1", Payload: []byte("y"), BatchN: 2},
+		}),
 		"result":      result,
 		"result_lost": EncodeResult(&types.Result{TaskID: "t-2", Err: "lease expired", Lost: true}),
 		"capacity": EncodeCapacity(&types.Capacity{
