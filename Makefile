@@ -18,9 +18,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the project's own static-analysis suite (internal/analysis
-# via cmd/funcx-vet): exhaustive protocol/opcode switches, the
-# monotonic-clock trace discipline, statusMu-guarded lifecycle
-# publishes, the metric-family registry, context flow through request
+# via cmd/funcx-vet): exhaustive protocol/opcode switches (the task
+# record's transition function among them), the monotonic-clock trace
+# discipline, the metric-family registry, context flow through request
 # paths, and select-guarded channel sends on hot paths. Nonzero on any
 # unsuppressed finding; see README "Static analysis".
 lint:

@@ -6,9 +6,9 @@
 //
 // The analyzers encode invariants this codebase otherwise maintains by
 // hand: exhaustive protocol/opcode switches, the monotonic-clock trace
-// discipline, statusMu-guarded lifecycle publishes, the metric-family
-// registry, context flow through request paths, and select-guarded
-// channel sends on hot paths. See the README "Static analysis" section.
+// discipline, the metric-family registry, context flow through request
+// paths, and select-guarded channel sends on hot paths. See the README
+// "Static analysis" section.
 package analysis
 
 import (
@@ -79,7 +79,7 @@ func (d Diagnostic) String() string {
 type Directive struct {
 	Pos  token.Pos
 	Line int
-	// Name is the directive kind: "ignore", "exhaustive", "holds",
+	// Name is the directive kind: "ignore", "exhaustive",
 	// "metric-registry".
 	Name string
 	Args string

@@ -27,11 +27,6 @@ func TestClockDisciplineDeltaGolden(t *testing.T) {
 	runGolden(t, AnalyzerClockDiscipline, "clock_delta_ok", "funcx/internal/manager", Options{})
 }
 
-func TestStatusGuardGolden(t *testing.T) {
-	runGolden(t, AnalyzerStatusGuard, "statusguard_bad", "funcx/internal/service", Options{})
-	runGolden(t, AnalyzerStatusGuard, "statusguard_ok", "funcx/internal/service", Options{})
-}
-
 func TestMetricNamesGolden(t *testing.T) {
 	runGolden(t, AnalyzerMetricNames, "metricnames_bad", "funcx/internal/service", Options{})
 	runGolden(t, AnalyzerMetricNames, "metricnames_ok", "funcx/internal/service", Options{})
@@ -51,9 +46,9 @@ func TestBoundedChanGolden(t *testing.T) {
 // ignores a package outside its configured import paths even when the
 // code would otherwise violate it.
 func TestScopedAnalyzersIgnoreForeignPackages(t *testing.T) {
-	for _, dir := range []string{"statusguard_bad", "ctxflow_bad", "boundedchan_bad", "clock_trace_bad"} {
+	for _, dir := range []string{"ctxflow_bad", "boundedchan_bad", "clock_trace_bad"} {
 		pkg := loadGolden(t, dir, "funcx/test/outofscope")
-		for _, a := range []*Analyzer{AnalyzerStatusGuard, AnalyzerCtxFlow, AnalyzerBoundedChan, AnalyzerClockDiscipline} {
+		for _, a := range []*Analyzer{AnalyzerCtxFlow, AnalyzerBoundedChan, AnalyzerClockDiscipline} {
 			if diags := Run([]*Package{pkg}, []*Analyzer{a}, Options{}); len(diags) != 0 {
 				t.Errorf("%s on out-of-scope %s: unexpected diagnostics %v", a.Name, dir, diags)
 			}

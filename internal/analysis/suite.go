@@ -5,7 +5,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerExhaustive,
 		AnalyzerClockDiscipline,
-		AnalyzerStatusGuard,
 		AnalyzerMetricNames,
 		AnalyzerCtxFlow,
 		AnalyzerBoundedChan,

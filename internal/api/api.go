@@ -700,8 +700,9 @@ type ShardHandoffRequest struct {
 }
 
 // HandoffTask is one queued task in a shard handoff: the wire-encoded
-// task record plus the status/owner rows that keep result retrieval,
-// access control, and event routing working on the importer.
+// task record plus the owner that keeps result retrieval, access
+// control, and event routing working on the importer. Status is what
+// the exporter's record said; the importer queues the task afresh.
 type HandoffTask struct {
 	ID     string `json:"id"`
 	Data   []byte `json:"data"`

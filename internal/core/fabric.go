@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"funcx/internal/api"
 	"funcx/internal/auth"
 	"funcx/internal/container"
 	"funcx/internal/endpoint"
@@ -364,7 +365,10 @@ func (f *Fabric) AddGroup(opts GroupOptions) (*types.EndpointGroup, error) {
 	if opts.Owner == "" {
 		opts.Owner = "operator"
 	}
-	return f.Service.CreateGroupFull(opts.Owner, opts.Name, opts.Policy, opts.Public, opts.Members, opts.Elastic, opts.RetryBudget)
+	return f.Service.CreateGroup(opts.Owner, api.CreateGroupRequest{
+		Name: opts.Name, Policy: opts.Policy, Public: opts.Public, Members: opts.Members,
+		RetryBudget: opts.RetryBudget, Elastic: opts.Elastic,
+	})
 }
 
 // GroupOf is a convenience around AddGroup for the common case: group

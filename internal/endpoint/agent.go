@@ -117,9 +117,9 @@ func traceIDOf(t *types.Task) string {
 	return ""
 }
 
-// inflightTask tracks a task between arrival at the agent and result
+// arrivedTask tracks a task between arrival at the agent and result
 // departure, for the TE timing component and loss recovery.
-type inflightTask struct {
+type arrivedTask struct {
 	task    *types.Task
 	arrived time.Time
 }
@@ -151,7 +151,7 @@ type Agent struct {
 	connected bool
 	managers  map[types.ManagerID]*managerState
 	queue     []*types.Task
-	inflight  map[types.TaskID]*inflightTask
+	inflight  map[types.TaskID]*arrivedTask
 	rng       *rand.Rand
 	rrCursor  int
 	// advice is the latest scaling advice from the service, with its
@@ -188,7 +188,7 @@ func New(cfg Config) *Agent {
 		cfg:      cfg,
 		log:      logger.With("endpoint_id", string(cfg.ID)),
 		managers: make(map[types.ManagerID]*managerState),
-		inflight: make(map[types.TaskID]*inflightTask),
+		inflight: make(map[types.TaskID]*arrivedTask),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		outKick:  make(chan struct{}, 1),
 	}
@@ -504,7 +504,7 @@ func (a *Agent) enqueue(t *types.Task) {
 	a.mu.Lock()
 	a.received++
 	a.queue = append(a.queue, t)
-	a.inflight[t.ID] = &inflightTask{task: t, arrived: time.Now()}
+	a.inflight[t.ID] = &arrivedTask{task: t, arrived: time.Now()}
 	a.mu.Unlock()
 	a.log.Debug("task received", "task_id", string(t.ID), "function_id", string(t.FunctionID), "attempt", t.Attempt, "trace_id", traceIDOf(t))
 	a.schedule()

@@ -1,8 +1,9 @@
 // Package forwarder implements the per-endpoint forwarder process of
 // paper §4.1: when an endpoint registers, the funcX service creates a
-// forwarder that owns the endpoint's Redis task queue and result
-// store. The forwarder dispatches tasks to the endpoint agent only
-// while the agent is connected, uses heartbeats to detect agent loss,
+// forwarder that owns the endpoint's Redis task queue and hands every
+// arriving result to the service. The forwarder dispatches tasks to the
+// endpoint agent only while the agent is connected, uses heartbeats to
+// detect agent loss,
 // and leases every dispatched task: tasks whose lease expires without
 // a running signal or result — and all in-flight tasks on agent loss —
 // are offered to the service's reclaim hook (retry budgets, failover
@@ -39,11 +40,6 @@ type Config struct {
 	Addr string
 	// TaskQueue is the endpoint's reliable task queue.
 	TaskQueue *store.Queue
-	// Results receives serialized results keyed by task id.
-	Results *store.Hash
-	// ResultTTL bounds how long results live after arrival when
-	// positive (results are purged once retrieved regardless).
-	ResultTTL time.Duration
 	// HeartbeatPeriod is the forwarder's heartbeat interval and the
 	// granularity of agent-loss detection.
 	HeartbeatPeriod time.Duration
@@ -61,12 +57,11 @@ type Config struct {
 	// Lat optionally injects WAN latency per dispatched message
 	// (Table 1 / Figure 4 experiments).
 	Lat *netlat.Link
-	// OnResult, when set, may enrich every result before it is
-	// persisted (the service stamps the TS timing component and feeds
-	// the memoization cache here).
+	// OnResult receives every result the agent returns, TF timing
+	// stamped and its reliable-queue receipt acknowledged (the service
+	// stamps TS, feeds the memoization cache, and lands the result in
+	// the task's record here).
 	OnResult func(*types.Result)
-	// OnStored, when set, fires after the result is persisted.
-	OnStored func(*types.Result)
 	// OnDispatched, when set, fires after a task is shipped to the
 	// connected agent (the service advances the task's lifecycle
 	// status and publishes the "dispatched" event here). Redeliveries
@@ -661,8 +656,7 @@ func (f *Forwarder) offloadOrphans() {
 }
 
 // storeResult records a completed task: acknowledges the reliable
-// queue, stamps TF timing, stores the serialized result, and notifies
-// the service.
+// queue, stamps TF timing, and hands the result to the service.
 func (f *Forwarder) storeResult(res *types.Result) {
 	start := time.Now()
 	f.mu.Lock()
@@ -687,18 +681,8 @@ func (f *Forwarder) storeResult(res *types.Result) {
 		f.cfg.Lat.Delay()
 	}
 	res.Timing.TF += time.Since(start)
-	// Let the service enrich the result (TS stamp, memoization,
-	// waiter wakeup) before it is persisted.
 	if f.cfg.OnResult != nil {
 		f.cfg.OnResult(res)
-	}
-	if f.cfg.ResultTTL > 0 {
-		f.cfg.Results.SetTTL(string(res.TaskID), wire.EncodeResult(res), f.cfg.ResultTTL)
-	} else {
-		f.cfg.Results.Set(string(res.TaskID), wire.EncodeResult(res))
-	}
-	if f.cfg.OnStored != nil {
-		f.cfg.OnStored(res)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 	"funcx/internal/wire"
 )
 
-// testHarness bundles a forwarder with its queue and result hash.
+// testHarness bundles a forwarder with its queue and result sink.
 type testHarness struct {
 	fwd     *Forwarder
 	queue   *store.Queue
-	results *store.Hash
+	results chan *types.Result // what OnResult received, unless the test set its own
 	network string
 	addr    string
 }
@@ -25,12 +25,14 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 	t.Helper()
 	h := &testHarness{
 		queue:   store.NewQueue(),
-		results: store.NewHash(),
+		results: make(chan *types.Result, 16), // more than any test here sends
 	}
 	cfg.EndpointID = "ep-1"
 	cfg.Network = "inproc"
 	cfg.TaskQueue = h.queue
-	cfg.Results = h.results
+	if cfg.OnResult == nil {
+		cfg.OnResult = func(r *types.Result) { h.results <- r }
+	}
 	if cfg.HeartbeatPeriod == 0 {
 		cfg.HeartbeatPeriod = 40 * time.Millisecond
 	}
@@ -117,24 +119,21 @@ func TestResultStoredAndAcked(t *testing.T) {
 	res := &types.Result{TaskID: "t1", Output: []byte("out"), Timing: types.Timing{TW: time.Millisecond}}
 	conn.Send(transport.Message{Type: transport.MsgResult, Payload: wire.EncodeResult(res)}) //nolint:errcheck
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if b, ok := h.results.Get("t1"); ok {
-			stored, err := wire.DecodeResult(b)
-			if err != nil || string(stored.Output) != "out" {
-				t.Fatalf("stored = %+v, %v", stored, err)
-			}
-			if h.fwd.Outstanding() != 0 {
-				t.Fatalf("Outstanding after result = %d", h.fwd.Outstanding())
-			}
-			if h.queue.PendingLen() != 0 {
-				t.Fatal("queue item not acked")
-			}
-			return
+	select {
+	case got := <-h.results:
+		if string(got.Output) != "out" || got.Timing.TW != time.Millisecond {
+			t.Fatalf("OnResult got %+v", got)
 		}
-		time.Sleep(5 * time.Millisecond)
+		// The sink runs after the lease is released and the receipt acked.
+		if h.fwd.Outstanding() != 0 {
+			t.Fatalf("Outstanding after result = %d", h.fwd.Outstanding())
+		}
+		if h.queue.PendingLen() != 0 {
+			t.Fatal("queue item not acked")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("result never reached OnResult")
 	}
-	t.Fatal("result never stored")
 }
 
 func TestDisconnectRequeuesOutstanding(t *testing.T) {
@@ -293,41 +292,6 @@ func TestStatusReportStored(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("status report never recorded")
-}
-
-func TestOnResultHooksRun(t *testing.T) {
-	enriched := make(chan types.TaskID, 1)
-	stored := make(chan types.TaskID, 1)
-	h := newHarness(t, Config{
-		OnResult: func(r *types.Result) {
-			r.Timing.TS = 42 * time.Millisecond // enrich before store
-			enriched <- r.TaskID
-		},
-		OnStored: func(r *types.Result) { stored <- r.TaskID },
-	})
-	conn := h.connectAgent(t, "")
-	pushTask(t, h.queue, "t1")
-	recvType(t, conn, transport.MsgTask, 2*time.Second)
-	conn.Send(transport.Message{Type: transport.MsgResult, Payload: wire.EncodeResult(&types.Result{TaskID: "t1"})}) //nolint:errcheck
-	select {
-	case <-enriched:
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnResult never ran")
-	}
-	select {
-	case <-stored:
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnStored never ran")
-	}
-	// The stored bytes include the enrichment.
-	b, ok := h.results.Get("t1")
-	if !ok {
-		t.Fatal("result missing")
-	}
-	res, _ := wire.DecodeResult(b)
-	if res.Timing.TS != 42*time.Millisecond {
-		t.Fatalf("enrichment not persisted: %+v", res.Timing)
-	}
 }
 
 func TestNewRegistrationReplacesOld(t *testing.T) {

@@ -63,14 +63,13 @@ func TestAgentReattachesAfterForwarderDropsIt(t *testing.T) {
 	if err := h.queue.Push(wire.EncodeTask(task)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the result of the task queued during the gap", func() bool {
-		_, ok := h.results.Get(string(task.ID))
-		return ok
-	})
-	stored, _ := h.results.Get(string(task.ID))
-	res, err := wire.DecodeResult(stored)
-	if err != nil || res.Failed() {
-		t.Fatalf("result = %+v, %v", res, err)
+	select {
+	case res := <-h.results:
+		if res.TaskID != task.ID || res.Failed() {
+			t.Fatalf("result = %+v", res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no result for the task queued during the gap")
 	}
 	if !a.Connected() || !h.fwd.Connected() {
 		t.Fatalf("after re-attach: agent connected=%v, forwarder connected=%v", a.Connected(), h.fwd.Connected())

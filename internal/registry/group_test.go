@@ -24,7 +24,7 @@ func groupFixture(t *testing.T) (*Registry, types.EndpointID, types.EndpointID) 
 func TestRegisterGroupRoundTrip(t *testing.T) {
 	r, ep1, ep2 := groupFixture(t)
 	g, err := r.RegisterGroup("alice", "fleet", "round-robin", false,
-		[]types.GroupMember{{EndpointID: ep1}, {EndpointID: ep2, Weight: 3}})
+		[]types.GroupMember{{EndpointID: ep1}, {EndpointID: ep2, Weight: 3}}, nil, 0)
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}
@@ -48,16 +48,16 @@ func TestRegisterGroupRoundTrip(t *testing.T) {
 
 func TestRegisterGroupValidatesMembers(t *testing.T) {
 	r, ep1, _ := groupFixture(t)
-	if _, err := r.RegisterGroup("alice", "empty", "", false, nil); err == nil {
+	if _, err := r.RegisterGroup("alice", "empty", "", false, nil, nil, 0); err == nil {
 		t.Fatal("empty group accepted")
 	}
 	if _, err := r.RegisterGroup("alice", "ghost", "", false,
-		[]types.GroupMember{{EndpointID: "no-such-ep"}}); !errors.Is(err, ErrNotFound) {
+		[]types.GroupMember{{EndpointID: "no-such-ep"}}, nil, 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown member: err = %v, want ErrNotFound", err)
 	}
 	// bob cannot group alice's private endpoint.
 	if _, err := r.RegisterGroup("bob", "steal", "", false,
-		[]types.GroupMember{{EndpointID: ep1}}); !errors.Is(err, ErrForbidden) {
+		[]types.GroupMember{{EndpointID: ep1}}, nil, 0); !errors.Is(err, ErrForbidden) {
 		t.Fatalf("private member: err = %v, want ErrForbidden", err)
 	}
 }
@@ -65,12 +65,12 @@ func TestRegisterGroupValidatesMembers(t *testing.T) {
 func TestAuthorizeGroupDispatch(t *testing.T) {
 	r, _, ep2 := groupFixture(t)
 	private, err := r.RegisterGroup("alice", "private", "", false,
-		[]types.GroupMember{{EndpointID: ep2}})
+		[]types.GroupMember{{EndpointID: ep2}}, nil, 0)
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}
 	public, err := r.RegisterGroup("alice", "public", "", true,
-		[]types.GroupMember{{EndpointID: ep2}})
+		[]types.GroupMember{{EndpointID: ep2}}, nil, 0)
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestAuthorizeGroupDispatch(t *testing.T) {
 func TestAddGroupMembersOwnerOnly(t *testing.T) {
 	r, ep1, ep2 := groupFixture(t)
 	g, err := r.RegisterGroup("alice", "fleet", "", false,
-		[]types.GroupMember{{EndpointID: ep1}})
+		[]types.GroupMember{{EndpointID: ep1}}, nil, 0)
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestRegisterGroupDeduplicatesMembers(t *testing.T) {
 	r, ep1, ep2 := groupFixture(t)
 	g, err := r.RegisterGroup("alice", "dup", "", false, []types.GroupMember{
 		{EndpointID: ep1, Weight: 2}, {EndpointID: ep1}, {EndpointID: ep2},
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}

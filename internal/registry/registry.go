@@ -406,22 +406,12 @@ func (r *Registry) EndpointCount() int {
 // member endpoint must exist and be dispatchable by the owner (owned
 // or public) — a group cannot grant access its creator lacks.
 // Duplicate members are collapsed (first occurrence wins) so a
-// repeated endpoint cannot skew placement.
-func (r *Registry) RegisterGroup(owner types.UserID, name, policy string, public bool, members []types.GroupMember) (*types.EndpointGroup, error) {
-	return r.RegisterGroupElastic(owner, name, policy, public, members, nil)
-}
-
-// RegisterGroupElastic is RegisterGroup with an optional elasticity
-// spec (already validated/normalized by the service) opting the group
-// into the fleet autoscaling controller.
-func (r *Registry) RegisterGroupElastic(owner types.UserID, name, policy string, public bool, members []types.GroupMember, elastic *types.ElasticSpec) (*types.EndpointGroup, error) {
-	return r.RegisterGroupFull(owner, name, policy, public, members, elastic, 0)
-}
-
-// RegisterGroupFull is RegisterGroupElastic plus the group's per-task
-// retry budget (0 = service default) applied to tasks placed through
-// the group that carry no budget of their own.
-func (r *Registry) RegisterGroupFull(owner types.UserID, name, policy string, public bool, members []types.GroupMember, elastic *types.ElasticSpec, retryBudget int) (*types.EndpointGroup, error) {
+// repeated endpoint cannot skew placement. A non-nil elastic spec
+// (already validated/normalized by the service) opts the group into
+// the fleet autoscaling controller; retryBudget (0 = service default)
+// applies to tasks placed through the group that carry no budget of
+// their own.
+func (r *Registry) RegisterGroup(owner types.UserID, name, policy string, public bool, members []types.GroupMember, elastic *types.ElasticSpec, retryBudget int) (*types.EndpointGroup, error) {
 	if len(members) == 0 {
 		return nil, errors.New("registry: group needs at least one member endpoint")
 	}

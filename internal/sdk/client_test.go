@@ -13,6 +13,7 @@ import (
 	"funcx/internal/auth"
 	"funcx/internal/serial"
 	"funcx/internal/service"
+	"funcx/internal/taskrec"
 	"funcx/internal/types"
 	"funcx/internal/wire"
 )
@@ -50,8 +51,19 @@ func fixture(t *testing.T, c *Client) (types.FunctionID, types.EndpointID) {
 // complete simulates the execution path for a submitted task.
 func complete(svc *service.Service, id types.TaskID, value any) {
 	out, _ := serial.Serialize(value)
-	res := &types.Result{TaskID: id, Output: out, Completed: time.Now()}
-	svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
+	land(svc, &types.Result{TaskID: id, Output: out, Completed: time.Now()})
+}
+
+// land does what the service does with a result an endpoint returned:
+// the frame lands in the task's record and the terminal event goes out.
+func land(svc *service.Service, res *types.Result) {
+	status := types.TaskSuccess
+	if res.Failed() {
+		status = types.TaskFailed
+	}
+	svc.Store.Tasks().Apply(taskrec.Event{
+		Kind: taskrec.Result, ID: res.TaskID, Status: status, Frame: wire.EncodeResult(res), At: time.Now(),
+	}, func(owner types.UserID, ev types.TaskEvent) { svc.Events.Publish(owner, ev) })
 }
 
 func TestRegisterAndRunFlow(t *testing.T) {
@@ -127,7 +139,7 @@ func TestTaskErrorSurfaces(t *testing.T) {
 	ctx := context.Background()
 	id, _ := c.Run(ctx, fnID, epID, nil)
 	res := &types.Result{TaskID: id, Err: string(serial.EncodeError(errors.New("remote boom"), string(id)))}
-	svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
+	land(svc, res)
 
 	got, err := c.GetResult(ctx, id)
 	if err != nil {

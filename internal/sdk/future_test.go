@@ -83,7 +83,7 @@ func TestFutureSurfacesRemoteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &types.Result{TaskID: f.TaskID(), Err: string(serial.EncodeError(errors.New("boom"), string(f.TaskID())))}
-	svc.Store.Hash("results").Set(string(f.TaskID()), wire.EncodeResult(res))
+	land(svc, res)
 	got, err := f.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestMapFutureGathersPackedBatches(t *testing.T) {
 			parts[j] = serial.Part{Tag: fmt.Sprintf("o%d", j), Body: []byte(fmt.Sprintf("out-%d-%d", i, j))}
 		}
 		res := &types.Result{TaskID: id, Output: serial.Pack(parts...), Completed: time.Now()}
-		svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
+		land(svc, res)
 	}
 	outs, err := mf.Results(ctx)
 	if err != nil {
@@ -435,7 +435,7 @@ func TestOversizeStreamResultResolvesByVerify(t *testing.T) {
 	before := awaitLive(t, c, waits)
 	output := make([]byte, maxStreamResult+1)
 	output[len(output)-1] = 0x7f
-	svc.Store.Hash("results").Set(string(big.TaskID()), wire.EncodeResult(&types.Result{TaskID: big.TaskID(), Output: output, Completed: time.Now()}))
+	land(svc, &types.Result{TaskID: big.TaskID(), Output: output, Completed: time.Now()})
 	res, err := big.Get(ctx)
 	if err != nil || len(res.Output) != len(output) || res.Output[len(output)-1] != 0x7f {
 		t.Fatalf("oversize result = %d bytes, %v; want %d", len(res.Output), err, len(output))

@@ -140,11 +140,11 @@ func await(t *testing.T, done <-chan submitted) submitted {
 // payloadOf is the payload the service stored for a task.
 func payloadOf(t *testing.T, svc *service.Service, id types.TaskID) string {
 	t.Helper()
-	data, ok := svc.Store.Hash("tasks").Get(string(id))
+	rec, ok := svc.Store.Tasks().Get(id)
 	if !ok {
 		t.Fatalf("the service has no task %s", id)
 	}
-	task, err := wire.DecodeTask(data)
+	task, err := wire.DecodeTask(rec.Task())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,14 @@
 // the graph record, dagOutputsHash for parent outputs awaiting
 // binding), and recovery.go replays pending edges after a crash.
 //
-// Lock order: dagMu is taken alone or over s.mu, never under it and
-// never across a resultsHash write — the results-hash watch
-// (onResultStored) re-enters applyDAGResult, so writing a result while
-// holding dagMu would self-deadlock. Every completion therefore
-// *collects* the releases and synthetic failures it unlocked under
-// dagMu and executes them after the unlock; each executed action lands
-// its own result, recursing through the hook one graph level at a time.
+// Lock order: dagMu is taken alone or over s.mu (and over a task
+// record's lock, for reads), never under either and never across a
+// task-table transition — landing a result (land) re-enters
+// applyDAGResult, so landing one while holding dagMu would
+// self-deadlock. Every completion therefore *collects* the releases and
+// synthetic failures it unlocked under dagMu and executes them after
+// the unlock; each executed action lands its own result, recursing
+// through land one graph level at a time.
 package service
 
 import (
@@ -36,6 +37,7 @@ import (
 	"funcx/internal/dataref"
 	"funcx/internal/registry"
 	"funcx/internal/shard"
+	"funcx/internal/taskrec"
 	"funcx/internal/types"
 	"funcx/internal/wire"
 )
@@ -131,15 +133,14 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 		}
 	}
 
-	// Owner and held status records land before the graph goes live:
-	// status and wait surfaces must recognize every node id the moment
-	// the response returns, and recovery rebuilds held nodes from these
-	// records plus the journaled graph.
+	// Every node's record is held (and its "pending" event published)
+	// before the graph goes live: status and wait surfaces must
+	// recognize every node id the moment the response returns, and
+	// recovery rebuilds held nodes from these records plus the
+	// journaled graph.
 	for _, key := range g.Order {
 		if n := g.Node(key); !n.External {
-			s.Store.Hash(ownersHash).Set(string(n.TaskID), []byte(owner))
-			//funcx:ignore statusguard pre-go-live: the graph is not yet in s.dags and these node ids are unknown to every dispatcher, so nothing can race the held record.
-			s.Store.Hash(statusHash).Set(string(n.TaskID), []byte(types.TaskPending))
+			s.apply(taskrec.Event{Kind: taskrec.Hold, ID: n.TaskID, Owner: owner, DAGID: id, At: now})
 		}
 	}
 	var externals []dagRef
@@ -161,15 +162,6 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 	s.dagNodes += int64(len(tasks))
 	s.mu.Unlock()
 
-	for _, key := range g.Order {
-		if n := g.Node(key); !n.External {
-			//funcx:ignore statusguard every node is still Held (no release has run), so no concurrent transition can reorder against these pending events.
-			s.publish(owner, types.TaskEvent{
-				TaskID: n.TaskID, Status: types.TaskPending, DAGID: id, Time: now,
-			})
-		}
-	}
-	//funcx:ignore statusguard DAG lifecycle event for a graph id, not a task status transition; graph state is serialized by dagMu.
 	s.publish(owner, types.TaskEvent{
 		TaskID: types.TaskID(id), Status: types.DAGRunning, DAGID: id, Time: now,
 	})
@@ -279,19 +271,29 @@ func (s *Service) persistDAGLocked(g *dag.Graph) {
 	s.Store.Hash(dagsHash).Set(string(g.ID), wire.EncodeDAG(g))
 }
 
-// applyDAGResult is the DAG step of the results-hash completion hook:
-// when the finished task feeds any registered graph, it journals the
-// output for child binding, applies the transition to every waiting
-// graph, and returns the graph id to stamp on the published event plus
-// the actions to execute *after* the hook's own publish — each action
-// writes its own result and re-enters this hook, so they must run
-// outside dagMu. Returns ("", nil) for tasks no graph is waiting on.
-func (s *Service) applyDAGResult(id types.TaskID, status types.TaskStatus, endpoint types.EndpointID, value []byte) (types.DAGID, func()) {
+// dagWaitingOn names the first graph waiting on a task, for the DAGID
+// of the task's terminal event ("" when none is).
+func (s *Service) dagWaitingOn(id types.TaskID) types.DAGID {
+	s.dagMu.Lock()
+	defer s.dagMu.Unlock()
+	if refs := s.dagByTask[id]; len(refs) > 0 {
+		return refs[0].id
+	}
+	return ""
+}
+
+// applyDAGResult is the DAG step of a task's retirement: when the
+// finished task feeds any registered graph, it journals the output for
+// child binding, applies the transition to every waiting graph, and
+// then — outside dagMu, as each lands a result and re-enters here —
+// executes the releases, dependency failures and graph completions the
+// transition unlocked. A no-op for tasks no graph is waiting on.
+func (s *Service) applyDAGResult(id types.TaskID, status types.TaskStatus, endpoint types.EndpointID, value []byte) {
 	s.dagMu.Lock()
 	refs := s.dagByTask[id]
 	if len(refs) == 0 {
 		s.dagMu.Unlock()
-		return "", nil
+		return
 	}
 	delete(s.dagByTask, id)
 
@@ -334,10 +336,8 @@ func (s *Service) applyDAGResult(id types.TaskID, status types.TaskStatus, endpo
 		}
 		s.persistDAGLocked(g)
 	}
-	dagID := refs[0].id
 	s.dagMu.Unlock()
-
-	return dagID, func() { s.executeDAGActions(rels, fails, dones) }
+	s.executeDAGActions(rels, fails, dones)
 }
 
 // putDataref registers a large output in the dataref fabric, placed at
@@ -422,8 +422,8 @@ func (s *Service) buildReleaseLocked(g *dag.Graph, key string) (dagRelease, erro
 
 // executeDAGActions runs the releases, synthetic failures, and graph
 // finalizations one completion unlocked. Must be called with no
-// service locks held: every action stores a result, whose hash watch
-// re-enters the DAG path synchronously.
+// service locks held: every action lands a record, which re-enters
+// the DAG path synchronously.
 func (s *Service) executeDAGActions(rels []dagRelease, fails []dagFail, dones []dagDone) {
 	for _, rel := range rels {
 		s.executeRelease(rel)
@@ -462,21 +462,20 @@ func (s *Service) executeRelease(rel dagRelease) {
 	}
 }
 
-// failDAGTask retires a claimed node with a synthetic failed result:
-// an inflight entry is inserted first so the completion hook (which
-// routes the terminal event, feeds the graph transition, and wakes
-// waiters) processes it like any other terminal.
+// failDAGTask retires a claimed node with a synthetic failed result,
+// landed like any other terminal: the event reaches the owner, the
+// graph takes its step, waiters wake.
 func (s *Service) failDAGTask(f dagFail) {
-	s.mu.Lock()
 	if f.dep {
+		s.mu.Lock()
 		s.dagDepFailures++
+		s.mu.Unlock()
 	}
-	if _, exists := s.inflight[f.taskID]; !exists {
-		s.inflight[f.taskID] = inflightTask{owner: f.owner}
-	}
-	s.mu.Unlock()
 	res := &types.Result{TaskID: f.taskID, Err: f.errJSON, Completed: time.Now()}
-	s.Store.Hash(resultsHash).Set(string(f.taskID), wire.EncodeResult(res))
+	s.land(taskrec.Event{
+		Kind: taskrec.Result, ID: f.taskID, Owner: f.owner, Status: types.TaskFailed,
+		Frame: wire.EncodeResult(res), At: res.Completed,
+	})
 }
 
 // finishDAG publishes a graph's lifecycle event and prunes the output
@@ -490,7 +489,6 @@ func (s *Service) finishDAG(d dagDone) {
 	if d.status != types.TaskSuccess {
 		status = types.DAGFailed
 	}
-	//funcx:ignore statusguard DAG terminal event for a graph id, not a task status record; finishDAG runs once per graph, gated by the node transitions under dagMu that led here.
 	s.publish(d.owner, types.TaskEvent{
 		TaskID: types.TaskID(d.id), Status: status, DAGID: d.id, Time: time.Now(),
 	})
@@ -650,31 +648,21 @@ func (s *Service) resolveExternalParent(dagID types.DAGID, key string) {
 		go s.pollExternalParent(dagID, key, taskID, owner)
 		return
 	}
-	// Ownership: a graph may only consume its own user's tasks.
-	if o, ok := s.Store.Hash(ownersHash).Get(string(taskID)); ok && types.UserID(o) != owner {
-		s.failExternalParent(dagID, key, taskID, "parent task not found")
-		return
-	}
-	if b, ok := s.Store.Hash(resultsHash).Get(string(taskID)); ok {
-		st := types.TaskSuccess
-		if res, err := wire.DecodeResult(b); err == nil {
-			st = terminalStatusOf(res)
-		}
-		if _, after := s.applyDAGResult(taskID, st, "", b); after != nil {
-			after()
-		}
-		return
-	}
-	st, ok := s.Store.Hash(statusHash).Get(string(taskID))
+	rec, ok := s.tasks.Get(taskID)
 	switch {
 	case !ok:
 		s.failExternalParent(dagID, key, taskID, "unknown parent task")
-	case types.TaskStatus(st).Terminal():
+	case foreign(rec, owner):
+		// A graph may only consume its own user's tasks.
+		s.failExternalParent(dagID, key, taskID, "parent task not found")
+	case rec.Result() != nil:
+		s.applyDAGResult(taskID, rec.Status(), "", rec.Result())
+	case rec.Status().Terminal():
 		// Terminal but the result is gone: it was already retrieved and
 		// purged, so there is nothing left to bind.
 		s.failExternalParent(dagID, key, taskID, "parent output already retrieved and purged")
 	default:
-		// Still running here: the completion hook fires when it lands
+		// Still running here: its retirement takes the graph's step
 		// (the graph registered in dagByTask at submission).
 	}
 }
@@ -716,9 +704,7 @@ func (s *Service) pollExternalParent(dagID types.DAGID, key string, taskID types
 	for s.ctx.Err() == nil && time.Now().Before(deadline) {
 		res, retry := s.waitRemoteTask(target, token, taskID)
 		if res != nil {
-			if _, after := s.applyDAGResult(taskID, terminalStatusOf(res), "", wire.EncodeResult(res)); after != nil {
-				after()
-			}
+			s.applyDAGResult(taskID, terminalStatusOf(res), "", wire.EncodeResult(res))
 			return
 		}
 		if !retry {
@@ -785,17 +771,15 @@ func (s *Service) waitRemoteTask(target shard.Info, token string, id types.TaskI
 // recoverDAGs rebuilds the in-memory graph table from the journal:
 // graph records from dagsHash, pending-edge routing in dagByTask, and
 // parent outputs (re-registering large ones in the dataref fabric,
-// which is runtime state the crash destroyed). It returns the task ids
-// recovery must NOT treat as ordinary in-flight tasks: held nodes have
-// owner and status records but no task record — the inflight sweep
-// would falsely retire them as lost — and claimed-but-unplaced nodes
-// are re-driven by resumeDAGs instead.
+// which is runtime state the crash destroyed). It returns the task id
+// of every graph node: a node whose record is still pending was held,
+// or claimed but never placed (a crash inside the release window), and
+// is resumeDAGs' to re-drive — the inflight sweep must not retire it
+// as lost.
 func (s *Service) recoverDAGs() map[types.TaskID]bool {
 	dagsH := s.Store.Hash(dagsHash)
 	outs := s.Store.Hash(dagOutputsHash)
-	tasksH := s.Store.Hash(tasksHash)
-	results := s.Store.Hash(resultsHash)
-	skip := make(map[types.TaskID]bool)
+	nodes := make(map[types.TaskID]bool)
 	s.dagMu.Lock()
 	defer s.dagMu.Unlock()
 	for _, id := range dagsH.Keys() {
@@ -828,20 +812,8 @@ func (s *Service) recoverDAGs() map[types.TaskID]bool {
 			if !n.State.Terminal() {
 				s.dagByTask[n.TaskID] = append(s.dagByTask[n.TaskID], dagRef{id: g.ID, key: key})
 			}
-			if n.External {
-				continue
-			}
-			if n.State == dag.StateHeld {
-				skip[n.TaskID] = true
-			}
-			if n.State == dag.StateReleased {
-				if _, placed := tasksH.Get(string(n.TaskID)); !placed {
-					if _, landed := results.Get(string(n.TaskID)); !landed {
-						// Claimed but never placed (crash inside the release
-						// window): resumeDAGs re-drives it.
-						skip[n.TaskID] = true
-					}
-				}
+			if !n.External {
+				nodes[n.TaskID] = true
 			}
 		}
 		s.dags[g.ID] = g
@@ -852,7 +824,7 @@ func (s *Service) recoverDAGs() map[types.TaskID]bool {
 			s.dagDoneAt[g.ID] = time.Now()
 		}
 	}
-	return skip
+	return nodes
 }
 
 // resumeDAGs re-drives every recovered graph after forwarders are up:
@@ -862,15 +834,12 @@ func (s *Service) recoverDAGs() map[types.TaskID]bool {
 // cross-shard parent resolvers respawn. In-flight released nodes are
 // left to the ordinary delivery path.
 func (s *Service) resumeDAGs() {
-	tasksH := s.Store.Hash(tasksHash)
-	results := s.Store.Hash(resultsHash)
-	statuses := s.Store.Hash(statusHash)
 	outs := s.Store.Hash(dagOutputsHash)
 	now := time.Now()
 
 	type stale struct {
-		id    types.TaskID
-		value []byte
+		id  types.TaskID
+		rec taskrec.Record
 	}
 	var stales []stale
 	var rels []dagRelease
@@ -892,25 +861,25 @@ func (s *Service) resumeDAGs() {
 				}
 				continue
 			}
-			id := string(n.TaskID)
+			rec, _ := s.tasks.Get(n.TaskID)
 			// Resume decisions for live nodes; terminal states were
 			// skipped above.
 			//funcx:exhaustive funcx/internal/dag.State ignore=StateSuccess,StateFailed,StateLost
 			switch n.State {
 			case dag.StateReleased:
-				if b, ok := results.Get(id); ok {
+				if rec.Result() != nil {
 					// The result landed pre-crash but the graph record
 					// missed the transition: re-apply it outside the lock
 					// through the ordinary completion path.
 					if refs := s.dagByTask[n.TaskID]; len(refs) > 0 {
-						stales = append(stales, stale{id: n.TaskID, value: b})
+						stales = append(stales, stale{id: n.TaskID, rec: rec})
 					}
 					continue
 				}
-				if _, placed := tasksH.Get(id); placed {
+				if rec.Task() != nil {
 					continue // in flight; normal delivery finishes it
 				}
-				if b, ok := outs.Get(id); ok {
+				if b, ok := outs.Get(string(n.TaskID)); ok {
 					// Output journaled but neither result nor transition
 					// survived: the node did succeed.
 					r, f, done := s.completeLocked(g, key, dag.Outcome{Status: types.TaskSuccess, Output: b, At: now})
@@ -921,9 +890,9 @@ func (s *Service) resumeDAGs() {
 					changed = true
 					continue
 				}
-				if st, ok := statuses.Get(id); ok && types.TaskStatus(st).Terminal() {
+				if rec.Status().Terminal() {
 					r, f, done := s.completeLocked(g, key, dag.Outcome{
-						Status: types.TaskStatus(st),
+						Status: rec.Status(),
 						Err:    fmt.Sprintf(`{"message":%q,"task_id":%q}`, "output unavailable after crash", n.TaskID),
 						At:     now,
 					})
@@ -984,13 +953,7 @@ func (s *Service) resumeDAGs() {
 	s.dagMu.Unlock()
 
 	for _, st := range stales {
-		status := types.TaskSuccess
-		if res, err := wire.DecodeResult(st.value); err == nil {
-			status = terminalStatusOf(res)
-		}
-		if _, after := s.applyDAGResult(st.id, status, "", st.value); after != nil {
-			after()
-		}
+		s.applyDAGResult(st.id, st.rec.Status(), "", st.rec.Result())
 	}
 	s.executeDAGActions(rels, fails, dones)
 	for _, ext := range externals {

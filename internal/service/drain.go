@@ -19,10 +19,12 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"time"
 
 	"funcx/internal/api"
 	"funcx/internal/shard"
 	"funcx/internal/store"
+	"funcx/internal/taskrec"
 	"funcx/internal/types"
 	"funcx/internal/wire"
 )
@@ -239,14 +241,10 @@ func (s *Service) handoffBatch(dst shard.ID, eps []*types.Endpoint, groups []*ty
 			if err != nil {
 				continue
 			}
-			ht := api.HandoffTask{ID: string(task.ID), Data: data}
-			if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok {
-				ht.Status = string(st)
-			}
-			if o, ok := s.Store.Hash(ownersHash).Get(string(task.ID)); ok {
-				ht.Owner = string(o)
-			}
-			req.Tasks = append(req.Tasks, ht)
+			rec, _ := s.tasks.Get(task.ID)
+			req.Tasks = append(req.Tasks, api.HandoffTask{
+				ID: string(task.ID), Data: data, Status: string(rec.Status()), Owner: string(rec.Owner()),
+			})
 		}
 	}
 
@@ -287,8 +285,9 @@ func (s *Service) handoffBatch(dst shard.ID, eps []*types.Endpoint, groups []*ty
 	}
 
 	// Committed: the importer owns the keys now. Flip the gateway,
-	// retire local delivery state, and let the records stand (they are
-	// harmless — the overrides route around them).
+	// retire local delivery state, and let the registry records stand
+	// (they are harmless — the overrides route around them). The
+	// moved tasks' records go: the tasks live on the importer now.
 	keys := make([]string, 0, len(eps)+len(groups)+len(req.Tasks))
 	for _, ep := range eps {
 		keys = append(keys, shard.EndpointKey(ep.ID))
@@ -302,13 +301,7 @@ func (s *Service) handoffBatch(dst shard.ID, eps []*types.Endpoint, groups []*ty
 	for _, t := range req.Tasks {
 		id := types.TaskID(t.ID)
 		keys = append(keys, shard.TaskKey(id))
-		s.mu.Lock()
-		delete(s.inflight, id)
-		s.mu.Unlock()
-		s.Store.Hash(tasksHash).Del(t.ID)
-		//funcx:ignore statusguard drain export: the task now lives on the destination shard and this shard is quiesced for its keys; the delete is a handoff, not a transition.
-		s.Store.Hash(statusHash).Del(t.ID)
-		s.Store.Hash(ownersHash).Del(t.ID)
+		s.tasks.Delete(id)
 	}
 	s.markMoved(dst, keys...)
 	report.Endpoints += len(eps)
@@ -341,9 +334,9 @@ func (s *Service) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
 // importHandoff adopts a draining peer's endpoints: records first
 // (journaled through the registry change hook on a durable instance),
 // then the gateway overrides, forwarders, and finally the tasks —
-// each with its owner/status/record rows and an in-flight entry, so
-// waits, events, and access control work here exactly as they did on
-// the origin shard.
+// each placed like a fresh submission that keeps its id, owner and
+// attempt count, so waits, events, and access control work here
+// exactly as they did on the origin shard.
 func (s *Service) importHandoff(req *api.ShardHandoffRequest) (*api.ShardHandoffResponse, error) {
 	for _, ep := range req.Endpoints {
 		if err := s.Registry.PutEndpoint(ep); err != nil {
@@ -381,19 +374,12 @@ func (s *Service) importHandoff(req *api.ShardHandoffRequest) (*api.ShardHandoff
 			continue // undecodable task: the origin already counted it gone
 		}
 		id := types.TaskID(t.ID)
-		s.mu.Lock()
-		s.inflight[id] = inflightTask{owner: types.UserID(t.Owner), endpoint: task.EndpointID}
-		s.mu.Unlock()
-		if t.Owner != "" {
-			s.Store.Hash(ownersHash).Set(t.ID, []byte(t.Owner))
+		if _, ok := s.apply(taskrec.Event{
+			Kind: taskrec.Place, ID: id, Owner: types.UserID(t.Owner), Endpoint: task.EndpointID,
+			Attempt: task.Attempt, Memoize: task.Memoize, Frame: t.Data, At: time.Now(),
+		}); !ok {
+			continue // a retried handoff: an earlier attempt already placed it here
 		}
-		s.Store.Hash(tasksHash).Set(t.ID, t.Data)
-		status := t.Status
-		if status == "" {
-			status = string(types.TaskQueued)
-		}
-		//funcx:ignore statusguard handoff import: the task is not yet enqueued on this shard (Push below), so no local transition can race the imported status.
-		s.Store.Hash(statusHash).Set(t.ID, []byte(status))
 		if err := s.Store.Queue(store.TaskQueueName(string(task.EndpointID))).Push(t.Data); err != nil {
 			return nil, fmt.Errorf("service: enqueueing imported task %s: %w", id, err)
 		}

@@ -60,7 +60,7 @@ func TestBatchSubmitRejectsUnsatisfiableSelectorUpfront(t *testing.T) {
 	svc, srv, token := testService(t)
 	ep := registerTestEndpoint(t, srv, token, "cpu", map[string]string{"arch": "cpu"})
 	fnID := registerTestFunction(t, srv, token)
-	g, err := svc.CreateGroup("alice", "fleet", "", false, []types.GroupMember{{EndpointID: ep}})
+	g, err := svc.CreateGroup("alice", api.CreateGroupRequest{Name: "fleet", Members: []types.GroupMember{{EndpointID: ep}}})
 	if err != nil {
 		t.Fatalf("CreateGroup: %v", err)
 	}
@@ -110,9 +110,10 @@ func TestCreateElasticGroupValidatesSpec(t *testing.T) {
 	if created.Group.Elastic.AdviceTTL <= 0 {
 		t.Fatal("service did not default the advice TTL")
 	}
-	if _, err := svc.CreateGroupElastic("alice", "bad", "", false,
-		[]types.GroupMember{{EndpointID: ep}},
-		&types.ElasticSpec{HighWater: 1, LowWater: 2}); err == nil {
+	if _, err := svc.CreateGroup("alice", api.CreateGroupRequest{
+		Name: "bad", Members: []types.GroupMember{{EndpointID: ep}},
+		Elastic: &types.ElasticSpec{HighWater: 1, LowWater: 2},
+	}); err == nil {
 		t.Fatal("inverted watermarks accepted")
 	}
 }
@@ -190,8 +191,9 @@ func TestElasticMembershipIsExclusive(t *testing.T) {
 	ep1 := registerTestEndpoint(t, srv, token, "ep1", nil)
 	ep2 := registerTestEndpoint(t, srv, token, "ep2", nil)
 
-	if _, err := svc.CreateGroupElastic("alice", "g1", "", false,
-		[]types.GroupMember{{EndpointID: ep1}}, &types.ElasticSpec{}); err != nil {
+	if _, err := svc.CreateGroup("alice", api.CreateGroupRequest{
+		Name: "g1", Members: []types.GroupMember{{EndpointID: ep1}}, Elastic: &types.ElasticSpec{},
+	}); err != nil {
 		t.Fatalf("first elastic group: %v", err)
 	}
 	// Two controllers advising one endpoint would flap its capacity
@@ -205,13 +207,15 @@ func TestElasticMembershipIsExclusive(t *testing.T) {
 		t.Fatalf("overlapping elastic group = %d, want 409", code)
 	}
 	// Non-elastic groups may still share the member freely.
-	if _, err := svc.CreateGroup("alice", "plain", "", false,
-		[]types.GroupMember{{EndpointID: ep1}}); err != nil {
+	if _, err := svc.CreateGroup("alice", api.CreateGroupRequest{
+		Name: "plain", Members: []types.GroupMember{{EndpointID: ep1}},
+	}); err != nil {
 		t.Fatalf("non-elastic overlap rejected: %v", err)
 	}
 	// Nor can an elastic group later absorb another's member.
-	g2, err := svc.CreateGroupElastic("alice", "g2", "", false,
-		[]types.GroupMember{{EndpointID: ep2}}, &types.ElasticSpec{})
+	g2, err := svc.CreateGroup("alice", api.CreateGroupRequest{
+		Name: "g2", Members: []types.GroupMember{{EndpointID: ep2}}, Elastic: &types.ElasticSpec{},
+	})
 	if err != nil {
 		t.Fatalf("disjoint elastic group: %v", err)
 	}
@@ -226,10 +230,11 @@ func TestElasticMembershipIsExclusive(t *testing.T) {
 func TestGroupElasticityRequiresAccess(t *testing.T) {
 	svc, srv, token := testService(t)
 	ep := registerTestEndpoint(t, srv, token, "ep", nil)
-	g, err := svc.CreateGroupElastic("alice", "fleet", "", false,
-		[]types.GroupMember{{EndpointID: ep}}, &types.ElasticSpec{})
+	g, err := svc.CreateGroup("alice", api.CreateGroupRequest{
+		Name: "fleet", Members: []types.GroupMember{{EndpointID: ep}}, Elastic: &types.ElasticSpec{},
+	})
 	if err != nil {
-		t.Fatalf("CreateGroupElastic: %v", err)
+		t.Fatalf("CreateGroup: %v", err)
 	}
 	stranger := svc.MintUserToken("mallory")
 	code := doJSON(t, srv, stranger, http.MethodGet,

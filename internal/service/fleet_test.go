@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -277,5 +278,44 @@ func TestServiceReady(t *testing.T) {
 	svc.Close()
 	if ok, _ := svc.Ready(); ok {
 		t.Fatal("closed service reports ready")
+	}
+}
+
+// A durable service whose journal has failed says so: /readyz turns
+// red naming the error and funcx_wal_failed reads 1, instead of
+// accepting tasks it can no longer keep.
+func TestServiceNotReadyAfterWALFailure(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := Open(Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	failed := func() float64 {
+		t.Helper()
+		fams, err := promtext.Parse(svc.renderMetrics(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := promtext.Get(fams, "funcx_wal_failed")
+		if f == nil {
+			t.Fatal("funcx_wal_failed missing from the exposition")
+		}
+		return f.Samples[0].Value
+	}
+	if ok, msg := svc.Ready(); !ok || failed() != 0 {
+		t.Fatalf("healthy durable service: ready=%v (%s), funcx_wal_failed=%v", ok, msg, failed())
+	}
+	// With the data dir gone the checkpoint's segment rotation cannot
+	// open its next file.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Store.Snapshot(); err == nil {
+		t.Fatal("snapshot into a removed data dir succeeded")
+	}
+	ok, msg := svc.Ready()
+	if ok || !strings.HasPrefix(msg, "wal: ") || failed() != 1 {
+		t.Fatalf("after the journal failed: ready=%v (%q), funcx_wal_failed=%v", ok, msg, failed())
 	}
 }

@@ -248,9 +248,9 @@ func TestGatewayCrossShardGroupRejected(t *testing.T) {
 		t.Fatalf("registered endpoint not ring-aligned to its shard")
 	}
 	foreign := mintForeign(t, dir, types.NewEndpointID, shard.EndpointKey)
-	_, err = svc.CreateGroup("u1", "mixed", "", false, []types.GroupMember{
+	_, err = svc.CreateGroup("u1", api.CreateGroupRequest{Name: "mixed", Members: []types.GroupMember{
 		{EndpointID: ep.ID}, {EndpointID: foreign},
-	})
+	}})
 	if err == nil {
 		t.Fatal("cross-shard group accepted")
 	}
@@ -328,11 +328,11 @@ func TestGatewayRelaysFrameSubmitVerbatim(t *testing.T) {
 
 	stored := func(id types.TaskID) *types.Task {
 		t.Helper()
-		data, ok := svcs[1].Store.Hash(tasksHash).Get(string(id))
+		rec, ok := svcs[1].tasks.Get(id)
 		if !ok {
 			t.Fatalf("owner shard has no record of %s", id)
 		}
-		task, err := wire.DecodeTask(data)
+		task, err := wire.DecodeTask(rec.Task())
 		if err != nil {
 			t.Fatal(err)
 		}

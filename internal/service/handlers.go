@@ -638,7 +638,7 @@ func (s *Service) handleCreateGroup(w http.ResponseWriter, r *http.Request) {
 	if len(req.Members) > 0 && s.routeByKey(w, r, shard.EndpointKey(req.Members[0].EndpointID), req) {
 		return
 	}
-	g, err := s.CreateGroupFull(claimsOf(r).Subject, req.Name, req.Policy, req.Public, req.Members, req.Elastic, req.RetryBudget)
+	g, err := s.CreateGroup(claimsOf(r).Subject, req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -975,8 +975,12 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// per-user, not per-client, so the purge keeps a grace TTL for
 		// any sibling client still polling, and only the first stream
 		// to deliver a result schedules (and counts) it.
+		ttl := s.cfg.ResultTTL
+		if ttl <= 0 {
+			ttl = streamPurgeGrace
+		}
 		for _, id := range delivered {
-			if s.purgeAfterStream(id) {
+			if s.retire(id, ttl) {
 				s.streamPurged.Add(1)
 			}
 		}

@@ -69,4 +69,5 @@ var metricFamilies = map[string]metricFamily{
 	"funcx_wal_recovered_records":         {kind: "gauge", stats: "WALStats.RecoveredRecords"},
 	"funcx_wal_recovered_snapshot_bytes":  {kind: "gauge", stats: "WALStats.RecoveredSnapshot"},
 	"funcx_wal_torn_records":              {kind: "gauge", stats: "WALStats.TornRecords"},
+	"funcx_wal_failed":                    {kind: "gauge"},
 }

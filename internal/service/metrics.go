@@ -249,6 +249,7 @@ func (s *Service) renderMetrics(exemplars bool) string {
 		p.gauge("funcx_wal_recovered_records", "WAL records replayed at the last recovery.", float64(st.WAL.RecoveredRecords))
 		p.gauge("funcx_wal_recovered_snapshot_bytes", "Snapshot bytes loaded at the last recovery.", float64(st.WAL.RecoveredSnapshot))
 		p.gauge("funcx_wal_torn_records", "Torn/corrupt tail records discarded at the last recovery.", float64(st.WAL.TornRecords))
+		p.gauge("funcx_wal_failed", "Whether the journal has hit an I/O error (1): the error is sticky, and nothing accepted since is durable.", b2f(s.Store.WALErr() != nil))
 	}
 
 	return p.b.String()

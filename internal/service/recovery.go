@@ -1,10 +1,11 @@
 // Crash recovery for a durable service instance (Config.DataDir).
 //
 // What the journal holds is the control plane's full word: registry
-// records (one JSON blob per record in "reg:<kind>" hashes), task
-// records/statuses/owners/results (the same hashes the live path
-// writes), per-endpoint task queues with their in-flight leases, and
-// each user's newest event seq. What it deliberately does not hold is
+// records (one JSON blob per record in "reg:<kind>" hashes), the task
+// table (every transition of every task's record, replayed through
+// taskrec.Transition by the store before the service sees it),
+// per-endpoint task queues with their in-flight leases, and each
+// user's newest event seq. What it deliberately does not hold is
 // runtime state — forwarders, agent connections, client secrets,
 // leases' wall-clock deadlines — which recovery rebuilds or resolves
 // below. The sequence in recoverRegistry/recoverRuntime runs inside
@@ -14,7 +15,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -23,6 +23,7 @@ import (
 	"funcx/internal/api"
 	"funcx/internal/registry"
 	"funcx/internal/store"
+	"funcx/internal/taskrec"
 	"funcx/internal/types"
 	"funcx/internal/wire"
 )
@@ -83,67 +84,30 @@ func recoverKind[T any](s *Service, kind string, put func(*T) error) error {
 	return nil
 }
 
+// legacyTaskHashes are the four hashes a task's state was spread over
+// before the task table. This build reads none of them.
+var legacyTaskHashes = []string{"owners", "tasks", "status", "results"}
+
 // recoverRuntime rebuilds everything the live request path needs that
-// is not a plain store read: the in-flight task map, event-stream
-// numbering, the delivery state of every queue, and one forwarder per
-// endpoint. Runs after the registry is recovered and before any
-// background goroutine starts.
+// is not a plain store read: event-stream numbering, the delivery
+// state of every queue, and one forwarder per endpoint. Task records
+// need nothing: the store replayed them. Runs after the registry is
+// recovered and before any background goroutine starts.
 func (s *Service) recoverRuntime() error {
-	// A data dir written before the binary frame codec holds JSON task
-	// and result records that no longer decode. Every sweep below would
-	// treat them as corrupt and drop or lose the tasks one by one;
-	// refuse to start instead.
-	for _, rec := range []struct {
-		hash   string
-		decode func([]byte) error
-	}{
-		{tasksHash, func(b []byte) error { _, err := wire.DecodeTask(b); return err }},
-		{resultsHash, func(b []byte) error { _, err := wire.DecodeResult(b); return err }},
-	} {
-		h := s.Store.Hash(rec.hash)
-		for _, id := range h.Keys() {
-			if b, ok := h.Get(id); ok && errors.Is(rec.decode(b), wire.ErrLegacyJSON) {
-				return fmt.Errorf("service: data dir %s is not readable by this build: %s record %s: %w",
-					s.cfg.DataDir, rec.hash, id, wire.ErrLegacyJSON)
-			}
+	// A data dir written before the task table holds its tasks in
+	// hashes nothing reads any more: every one of them would be
+	// silently forgotten. Refuse to start instead.
+	for _, name := range legacyTaskHashes {
+		if n := s.Store.Hash(name).Len(); n > 0 {
+			return fmt.Errorf("service: data dir %s is not readable by this build: hash %q holds %d task records from before the task table",
+				s.cfg.DataDir, name, n)
 		}
 	}
 
 	// Dependency graphs first: recoverDAGs rebuilds the graph tables
-	// from the journal and reports the node ids the generic sweeps
-	// below must leave alone — held nodes have owner/status records but
-	// no task record (by design, they were never placed), and the
-	// inflight sweep would otherwise retire them as lost.
-	dagHeld := s.recoverDAGs()
-
-	// In-flight map: every owner-recorded task without a stored result
-	// is still live from its caller's perspective — the terminal event
-	// never published, so whatever happens to the task next (delivery,
-	// redelivery, loss) must find the owner and wake waiters.
-	owners := s.Store.Hash(ownersHash)
-	results := s.Store.Hash(resultsHash)
-	tasksH := s.Store.Hash(tasksHash)
-	s.mu.Lock()
-	for _, id := range owners.Keys() {
-		if dagHeld[types.TaskID(id)] {
-			continue
-		}
-		if _, done := results.Get(id); done {
-			continue
-		}
-		owner, ok := owners.Get(id)
-		if !ok {
-			continue
-		}
-		var epID types.EndpointID
-		if data, ok := tasksH.Get(id); ok {
-			if task, err := wire.DecodeTask(data); err == nil {
-				epID = task.EndpointID
-			}
-		}
-		s.inflight[types.TaskID(id)] = inflightTask{owner: types.UserID(owner), endpoint: epID}
-	}
-	s.mu.Unlock()
+	// from the journal and reports the graph nodes' task ids, whose
+	// pending records the sweep below must leave to resumeDAGs.
+	dagNodes := s.recoverDAGs()
 
 	// Event numbering: seed each user's stream past the newest seq the
 	// dead process published, so recovery-side events cannot reuse a
@@ -166,7 +130,7 @@ func (s *Service) recoverRuntime() error {
 	for _, ep := range eps {
 		s.reconcileQueue(ep.ID)
 	}
-	s.sweepInflight(eps)
+	s.sweepInflight(eps, dagNodes)
 	for _, ep := range eps {
 		if _, err := s.startForwarder(ep.ID); err != nil {
 			return fmt.Errorf("service: restarting forwarder for endpoint %s: %w", ep.ID, err)
@@ -194,7 +158,7 @@ func (s *Service) reconcileQueue(epID types.EndpointID) {
 			q.Ack(receipt) //nolint:errcheck // dropping an undecodable lease
 			continue
 		}
-		if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
+		if rec, ok := s.tasks.Get(task.ID); !ok || rec.Status().Terminal() {
 			q.Ack(receipt) //nolint:errcheck // result already landed
 			continue
 		}
@@ -209,49 +173,39 @@ func (s *Service) reconcileQueue(epID types.EndpointID) {
 
 // sweepInflight catches tasks the journal shows as accepted but
 // neither queued, leased, nor finished — the narrow window of a crash
-// between a dispatch ack and its result write. They re-enter through
-// the reclaim path (budget checks, at-most-once handling, failover)
-// so their callers' futures resolve instead of hanging forever.
-func (s *Service) sweepInflight(eps []*types.Endpoint) {
+// between a dispatch ack and its result landing, or between a record's
+// creation and its enqueue. They re-enter through the reclaim path
+// (budget checks, at-most-once handling, failover) so their callers'
+// futures resolve instead of hanging forever. A pending record is a
+// held DAG node, resumeDAGs' to drive, unless no recovered graph
+// claims it (the crash fell between the hold and the graph record).
+func (s *Service) sweepInflight(eps []*types.Endpoint, dagNodes map[types.TaskID]bool) {
+	// reconcileQueue has emptied every pending set back into its queue.
 	present := make(map[types.TaskID]bool)
 	for _, ep := range eps {
-		q := s.Store.Queue(store.TaskQueueName(string(ep.ID)))
-		for _, item := range q.Items() {
-			if task, err := wire.DecodeTask(item); err == nil {
-				present[task.ID] = true
-			}
-		}
-		for _, item := range q.Pending() {
+		for _, item := range s.Store.Queue(store.TaskQueueName(string(ep.ID))).Items() {
 			if task, err := wire.DecodeTask(item); err == nil {
 				present[task.ID] = true
 			}
 		}
 	}
-	s.mu.Lock()
-	live := make(map[types.TaskID]inflightTask, len(s.inflight))
-	for id, info := range s.inflight {
-		live[id] = info
-	}
-	s.mu.Unlock()
-	for id, info := range live {
-		if present[id] {
-			continue
+	s.tasks.Range(func(id types.TaskID, rec taskrec.Record) {
+		if rec.Status().Terminal() || present[id] {
+			return
 		}
-		if st, ok := s.Store.Hash(statusHash).Get(string(id)); ok && types.TaskStatus(st).Terminal() {
-			continue
+		if rec.Status() == types.TaskPending {
+			if !dagNodes[id] {
+				s.lose(&types.Task{ID: id}, "held for a graph that was lost in the crash")
+			}
+			return
 		}
-		data, ok := s.Store.Hash(tasksHash).Get(string(id))
-		if !ok {
-			s.lose(&types.Task{ID: id, Owner: info.owner}, "task record lost in crash")
-			continue
-		}
-		task, err := wire.DecodeTask(data)
+		task, err := wire.DecodeTask(rec.Task())
 		if err != nil {
-			s.lose(&types.Task{ID: id, Owner: info.owner}, "task record corrupt after crash")
-			continue
+			s.lose(&types.Task{ID: id}, "task record corrupt after crash")
+			return
 		}
 		s.reclaim(task, "shard restart")
-	}
+	})
 }
 
 // antiEntropyTimeout bounds each peer's share of the recovered-boot

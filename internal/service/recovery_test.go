@@ -1,15 +1,15 @@
 package service
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"funcx/internal/api"
 	"funcx/internal/auth"
-	"funcx/internal/wire"
 )
 
 // TestReattachAfterRecovery drives the operator story the reattach
@@ -82,24 +82,26 @@ func TestReattachAfterRecovery(t *testing.T) {
 	}
 }
 
-// A data dir holding task records in the JSON encoding that binary
-// frames replaced must stop the boot, not recover with every such task
-// dropped as corrupt.
-func TestRecoveryRefusesLegacyJSONRecords(t *testing.T) {
-	cfg := Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: t.TempDir()}
-	svc, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	svc.Store.Hash(tasksHash).Set("t1", []byte(`{"task_id":"t1","function_id":"f","endpoint_id":"e","payload":"AAEC"}`))
-	svc.Close()
-
-	svc, err = Open(cfg)
-	if err == nil {
+// A data dir from before the task table holds its tasks in the four
+// hashes nothing reads any more: the boot must stop and name the hash,
+// not come up having forgotten every task in it.
+func TestRecoveryRefusesPreTableHashes(t *testing.T) {
+	for _, name := range legacyTaskHashes {
+		cfg := Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: t.TempDir()}
+		svc, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		svc.Store.Hash(name).Set("t1", []byte("alice"))
 		svc.Close()
-		t.Fatal("reopen over a legacy JSON task record succeeded")
-	}
-	if !errors.Is(err, wire.ErrLegacyJSON) {
-		t.Fatalf("reopen error = %v, want one wrapping wire.ErrLegacyJSON", err)
+
+		svc, err = Open(cfg)
+		if err == nil {
+			svc.Close()
+			t.Fatalf("reopen over a non-empty %q hash succeeded", name)
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Fatalf("reopen error = %v, want one naming hash %q", err, name)
+		}
 	}
 }

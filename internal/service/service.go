@@ -34,6 +34,7 @@ import (
 	"funcx/internal/router"
 	"funcx/internal/shard"
 	"funcx/internal/store"
+	"funcx/internal/taskrec"
 	"funcx/internal/trace"
 	"funcx/internal/types"
 	"funcx/internal/wal"
@@ -253,8 +254,8 @@ type Service struct {
 	Datarefs *dataref.Fabric
 
 	// dagMu guards the dependency-graph tables. It may be taken alone
-	// or over s.mu, and NEVER across a resultsHash write (the results
-	// watch re-enters the DAG path). dags holds every graph (finished
+	// or over s.mu, and NEVER across a task-table transition (landing a
+	// result re-enters the DAG path). dags holds every graph (finished
 	// ones stay for GET /v1/dags/{id} until DAGRetention expires);
 	// dagByTask routes a stored result to the graph nodes waiting on
 	// that task id; dagDoneAt stamps when each graph finished so the
@@ -274,17 +275,12 @@ type Service struct {
 	movedKeys    map[string]shard.ID
 	importedKeys map[string]bool
 
-	mu sync.Mutex
-	// statusMu serializes lifecycle-status transitions so the
-	// dispatched write cannot regress a concurrently landed terminal
-	// status (check-then-set must be atomic across writers).
-	statusMu   sync.Mutex
+	// tasks is the store's task table: one record per task, moved only
+	// by taskrec.Transition through apply (see "task lifecycle" below).
+	tasks *store.TaskTable
+
+	mu         sync.Mutex
 	forwarders map[types.EndpointID]*forwarder.Forwarder
-	// inflight tracks each accepted-but-unretired task: the owner
-	// (event routing), placed endpoint, and service-side TS latency
-	// component. The entry is consumed when the terminal event
-	// publishes, which also deduplicates at-least-once redeliveries.
-	inflight map[types.TaskID]inflightTask
 	// reclaims tracks a decaying per-endpoint reclaim/lost rate — the
 	// router's lease-aware penalty source.
 	reclaims map[types.EndpointID]*decayCounter
@@ -321,13 +317,6 @@ type Service struct {
 	// owner's SSE stream (ack-on-stream purge). Atomic, not under mu:
 	// it moves once per delivered result.
 	streamPurged atomic.Int64
-}
-
-// inflightTask is the service-side record of one accepted task.
-type inflightTask struct {
-	owner    types.UserID
-	endpoint types.EndpointID
-	ts       time.Duration
 }
 
 // New creates a service ready to serve its Handler, panicking if the
@@ -421,8 +410,8 @@ func Open(cfg Config) (*Service, error) {
 		Memo:         memo.NewCache(cfg.MemoSize),
 		Events:       events.New(events.Config{Ring: cfg.EventRing, IdleTTL: cfg.EventIdleTTL}),
 		log:          logger,
+		tasks:        st.Tasks(),
 		forwarders:   make(map[types.EndpointID]*forwarder.Forwarder),
-		inflight:     make(map[types.TaskID]inflightTask),
 		reclaims:     make(map[types.EndpointID]*decayCounter),
 		seqJournaled: make(map[types.UserID]uint64),
 		movedKeys:    make(map[string]shard.ID),
@@ -485,10 +474,6 @@ func Open(cfg Config) (*Service, error) {
 	if s.Store.Persistent() {
 		s.Registry.SetOnChange(s.persistRegistryRecord)
 	}
-	// Result-hash writes are the completion signal: the watch fires
-	// for forwarder-stored and memo-served results alike, publishing
-	// the terminal event (which wakes every blocked waiter).
-	s.Store.Hash(resultsHash).SetWatch(s.onResultStored)
 	s.Router = router.New(s.routingStatus, s.endpointLabels)
 	s.Router.Penalty = s.routingPenalty
 	s.Elastic = elastic.NewController(elastic.Config{
@@ -502,11 +487,10 @@ func Open(cfg Config) (*Service, error) {
 	})
 	//funcx:ignore ctxflow Open mints the service's root lifetime context; there is no caller context at process start.
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	// Runtime recovery: rebuild the in-flight map, seed event
-	// numbering, reconcile queued/leased tasks against landed results,
-	// and restart a forwarder for every journaled endpoint — all
-	// before the first background goroutine or request can observe
-	// half-recovered state.
+	// Runtime recovery: seed event numbering, reconcile queued/leased
+	// tasks against their records, and restart a forwarder for every
+	// journaled endpoint — all before the first background goroutine
+	// or request can observe half-recovered state.
 	if s.Store.Recovered() {
 		if err := s.recoverRuntime(); err != nil {
 			s.cancel()
@@ -618,8 +602,6 @@ func (s *Service) startForwarder(epID types.EndpointID) (*forwarder.Forwarder, e
 		EndpointID:      epID,
 		Network:         s.cfg.ForwarderNetwork,
 		TaskQueue:       s.Store.Queue(store.TaskQueueName(string(epID))),
-		Results:         s.Store.Hash(resultsHash),
-		ResultTTL:       0, // purge is driven by retrieval
 		HeartbeatPeriod: s.cfg.HeartbeatPeriod,
 		HeartbeatMisses: s.cfg.HeartbeatMisses,
 		DispatchLease:   s.cfg.DispatchLease,
@@ -721,28 +703,17 @@ func (s *Service) endpointLabels(id types.EndpointID) map[string]string {
 
 // CreateGroup registers an endpoint group after validating its
 // placement policy. Members must exist and be dispatchable by owner.
-func (s *Service) CreateGroup(owner types.UserID, name, policy string, public bool, members []types.GroupMember) (*types.EndpointGroup, error) {
-	return s.CreateGroupElastic(owner, name, policy, public, members, nil)
-}
-
-// CreateGroupElastic is CreateGroup with an optional elasticity spec:
-// a non-nil spec (validated and normalized here) opts the group into
-// the fleet autoscaling controller, which will push scaling advice to
-// member endpoints from the first evaluation after creation.
-func (s *Service) CreateGroupElastic(owner types.UserID, name, policy string, public bool, members []types.GroupMember, spec *types.ElasticSpec) (*types.EndpointGroup, error) {
-	return s.CreateGroupFull(owner, name, policy, public, members, spec, 0)
-}
-
-// CreateGroupFull is CreateGroupElastic plus the group's per-task
-// retry budget: tasks placed through the group that do not set their
-// own MaxRetries are redelivered at most retryBudget times before
-// landing as TaskLost (0 = the service default).
-func (s *Service) CreateGroupFull(owner types.UserID, name, policy string, public bool, members []types.GroupMember, spec *types.ElasticSpec, retryBudget int) (*types.EndpointGroup, error) {
-	p, err := router.ParsePolicy(policy)
+// A non-nil Elastic spec (validated and normalized here) opts the
+// group into the fleet autoscaling controller, which pushes scaling
+// advice to member endpoints from the first evaluation after creation;
+// RetryBudget bounds redeliveries of tasks placed through the group
+// that set no MaxRetries of their own (0 = the service default).
+func (s *Service) CreateGroup(owner types.UserID, req api.CreateGroupRequest) (*types.EndpointGroup, error) {
+	p, err := router.ParsePolicy(req.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
-	if len(members) == 0 {
+	if len(req.Members) == 0 {
 		return nil, fmt.Errorf("%w: group needs at least one member endpoint", ErrInvalidRequest)
 	}
 	// Sharded: a group's routing, forwarders, and queues all live on
@@ -750,7 +721,7 @@ func (s *Service) CreateGroupFull(owner types.UserID, name, policy string, publi
 	// (Cross-shard groups are a recorded follow-on; the gateway routes
 	// group creation to the first member's owner shard.)
 	if s.cfg.Ring != nil {
-		for _, m := range members {
+		for _, m := range req.Members {
 			if !s.cfg.Ring.Owns(shard.EndpointKey(m.EndpointID)) {
 				return nil, fmt.Errorf("%w: endpoint %s lives on shard %s, not %s; cross-shard group members are not supported",
 					ErrInvalidRequest, m.EndpointID,
@@ -758,9 +729,10 @@ func (s *Service) CreateGroupFull(owner types.UserID, name, policy string, publi
 			}
 		}
 	}
-	if retryBudget < 0 {
+	if req.RetryBudget < 0 {
 		return nil, fmt.Errorf("%w: negative retry budget", ErrInvalidRequest)
 	}
+	spec := req.Elastic
 	if spec != nil {
 		normalized, err := elastic.ParseSpec(*spec)
 		if err != nil {
@@ -771,7 +743,7 @@ func (s *Service) CreateGroupFull(owner types.UserID, name, policy string, publi
 		}
 		spec = &normalized
 	}
-	return s.Registry.RegisterGroupFull(owner, name, string(p), public, members, spec, retryBudget)
+	return s.Registry.RegisterGroup(owner, req.Name, string(p), req.Public, req.Members, spec, req.RetryBudget)
 }
 
 // GroupElasticity reports a group's elasticity state: the group record
@@ -841,8 +813,8 @@ func (s *Service) failover(task *types.Task) bool {
 	}
 	// A task that already finished (its result landed concurrently
 	// with the disconnect) must not be re-queued: drop the stale
-	// redelivery instead of regressing its status and re-running it.
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
+	// redelivery instead of re-running it.
+	if rec, ok := s.tasks.Get(task.ID); !ok || rec.Status().Terminal() {
 		return true
 	}
 	g, err := s.Registry.Group(task.GroupID)
@@ -866,36 +838,16 @@ func (s *Service) failover(task *types.Task) bool {
 	}
 	task.EndpointID = target
 	data := wire.EncodeTask(task)
-	// Update the record before enqueueing so a fast completion on the
-	// new endpoint cannot be overwritten back to "queued". The
-	// terminal re-check and the status write share statusMu: a result
-	// landing between the entry check above and here (the window
-	// spans routing and encoding) must not be regressed — drop the
-	// redelivery instead. The fresh "queued" event naming the
-	// surviving member is published under the same lock, before the
-	// enqueue, so the new endpoint's dispatch can never precede it on
-	// the stream.
-	s.statusMu.Lock()
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
-		s.statusMu.Unlock()
+	// The record moves before the enqueue, so a fast completion on the
+	// new endpoint finds it there, and the fresh "queued" event naming
+	// the surviving member is on the stream before that endpoint's
+	// dispatch can be. A result that landed since the check above (the
+	// window spans routing and encoding) wins: drop the redelivery.
+	if _, ok := s.apply(taskrec.Event{
+		Kind: taskrec.Reroute, ID: task.ID, Endpoint: target, Attempt: task.Attempt, Frame: data, At: time.Now(),
+	}); !ok {
 		return true
 	}
-	s.Store.Hash(tasksHash).Set(string(task.ID), data)
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskQueued))
-	// The inflight endpoint moves inside the same statusMu section:
-	// onDispatched compares against it to drop a stale dispatch
-	// notification from the endpoint this task just left (statusMu
-	// nests over s.mu; nothing acquires them in the other order).
-	s.mu.Lock()
-	if info, ok := s.inflight[task.ID]; ok {
-		info.endpoint = target
-		s.inflight[task.ID] = info
-	}
-	s.mu.Unlock()
-	s.publish(task.Owner, types.TaskEvent{
-		TaskID: task.ID, Status: types.TaskQueued, EndpointID: target, Time: time.Now(),
-	})
-	s.statusMu.Unlock()
 	s.Trace.SetEndpoint(task.ID, target)
 	if err := s.Store.Queue(store.TaskQueueName(string(target))).Push(data); err != nil {
 		return false
@@ -910,15 +862,9 @@ func (s *Service) failover(task *types.Task) bool {
 
 // --- task lifecycle ---
 
-// taskStatusHash and resultHash name the Redis-style hashsets.
-// ownersHash records each accepted task's owner for the lifetime of
-// its record, so retrieval surfaces can enforce per-user access even
-// after the inflight entry is consumed (memo hits retire instantly).
+// The service's bookkeeping hashes. Tasks themselves live in the
+// store's task table, one taskrec.Record each.
 const (
-	tasksHash   = "tasks"
-	statusHash  = "status"
-	resultsHash = "results"
-	ownersHash  = "owners"
 	// eventSeqHash journals each user's newest event seq (decimal
 	// string) so a recovered shard resumes numbering past every seq it
 	// ever handed a client as a Last-Event-ID.
@@ -965,6 +911,14 @@ func (s *Service) publish(owner types.UserID, ev types.TaskEvent) {
 	s.seqMu.Unlock()
 }
 
+// apply runs one lifecycle event through the task table: the one way a
+// task's record changes. The table journals an event that applies and
+// publishes what it emits under the record's lock, so one task's
+// events reach the stream in transition order.
+func (s *Service) apply(ev taskrec.Event) (taskrec.Record, bool) {
+	return s.tasks.Apply(ev, s.publish)
+}
+
 // Submission is one task submission: a function invocation bound for
 // either a concrete endpoint (EndpointID) or an endpoint group
 // (GroupID), in which case the router picks the member and Labels may
@@ -990,42 +944,16 @@ type Submission struct {
 	AtMostOnce bool
 }
 
-// Submit validates, stores, and enqueues one task, returning its id
-// and whether it was served from the memoization cache (paper Figure 3
-// steps 1–3). Kept as the concrete-endpoint convenience around
-// SubmitTask.
-func (s *Service) Submit(owner types.UserID, fnID types.FunctionID, epID types.EndpointID, payload []byte, memoize bool, batchN int) (types.TaskID, bool, error) {
-	id, _, memoized, err := s.SubmitTaskAt(owner, Submission{
-		FunctionID: fnID, EndpointID: epID, Payload: payload,
-		Memoize: memoize, BatchN: batchN,
-	}, time.Now())
-	return id, memoized, err
-}
-
-// SubmitAt is Submit with an explicit TS clock origin: the HTTP layer
-// passes the request arrival time so the TS component covers
+// SubmitTaskAt places one submission, returning the task id, the
+// endpoint it landed on, and whether it was served from the memo cache
+// (paper Figure 3 steps 1–3). start is the TS clock origin: the HTTP
+// layer passes the request arrival time so the TS component covers
 // authentication (paper Figure 4: "most funcX overhead is captured in
-// ts as a result of authentication").
-func (s *Service) SubmitAt(owner types.UserID, fnID types.FunctionID, epID types.EndpointID, payload []byte, memoize bool, batchN int, start time.Time) (types.TaskID, bool, error) {
-	id, _, memoized, err := s.SubmitTaskAt(owner, Submission{
-		FunctionID: fnID, EndpointID: epID, Payload: payload,
-		Memoize: memoize, BatchN: batchN,
-	}, start)
-	return id, memoized, err
-}
-
-// SubmitTask places one submission, returning the task id, the
-// endpoint it landed on, and whether it was served from the memo
-// cache.
-func (s *Service) SubmitTask(owner types.UserID, sub Submission) (types.TaskID, types.EndpointID, bool, error) {
-	return s.SubmitTaskAt(owner, sub, time.Now())
-}
-
-// SubmitTaskAt is SubmitTask with an explicit TS clock origin. For a
-// group target it authorizes the group, routes the task with the
-// group's placement policy over live endpoint health, and stamps the
-// task with its group so failover can re-route it if the chosen
-// endpoint dies before dispatch.
+// ts as a result of authentication"). For a group target it
+// authorizes the group, routes the task with the group's placement
+// policy over live endpoint health, and stamps the task with its group
+// so failover can re-route it if the chosen endpoint dies before
+// dispatch.
 func (s *Service) SubmitTaskAt(owner types.UserID, sub Submission, start time.Time) (types.TaskID, types.EndpointID, bool, error) {
 	p, err := s.prepare(owner, sub)
 	if err != nil {
@@ -1227,14 +1155,13 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 			s.mu.Lock()
 			s.memoHits++
 			s.submitted++
-			// Registered before the result write so the hash watch can
-			// route the terminal event to the owner.
-			s.inflight[id] = inflightTask{owner: owner, endpoint: epID, ts: cached.Timing.TS}
 			s.mu.Unlock()
-			s.Store.Hash(ownersHash).Set(string(id), []byte(owner))
-			//funcx:ignore statusguard fresh task id served wholly from the memo cache: it is never enqueued, so no concurrent writer can race this terminal write.
-			s.Store.Hash(statusHash).Set(string(id), []byte(types.TaskSuccess))
-			s.Store.Hash(resultsHash).Set(string(id), wire.EncodeResult(&cached))
+			// Never enqueued: the record is born (or, for a held DAG
+			// node, leaves pending) already retired with the cached result.
+			s.land(taskrec.Event{
+				Kind: taskrec.Result, ID: id, Owner: owner, Endpoint: epID, TS: cached.Timing.TS,
+				Status: types.TaskSuccess, Frame: wire.EncodeResult(&cached), At: cached.Completed,
+			})
 			return id, epID, true, nil
 		}
 	}
@@ -1284,41 +1211,36 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 		s.Trace.Stamp(task.ID, trace.StageRouted)
 	}
 
-	// Store the task record and enqueue it for the endpoint, encoding
+	// Create the task's record and enqueue it for the endpoint, encoding
 	// once and sharing the bytes between record and queue (the encode
 	// dominated the submit hot path when paid twice). Both consumers
-	// only read the buffer. The inflight entry is registered *before*
-	// the enqueue: a result can land the instant the task is poppable,
-	// and its terminal event must find the owner.
+	// only read the buffer. The record exists, and its "queued" event is
+	// on the stream, *before* the enqueue: the instant the task is
+	// poppable its dispatched and terminal events can land, and they
+	// must find the owner and never show ahead of "queued".
 	data := wire.EncodeTask(task)
-	ts := time.Since(start)
-	s.mu.Lock()
-	s.inflight[task.ID] = inflightTask{owner: owner, endpoint: epID, ts: ts}
-	s.submitted++
-	s.mu.Unlock()
-	s.Store.Hash(ownersHash).Set(string(task.ID), []byte(owner))
-	s.Store.Hash(tasksHash).Set(string(task.ID), data)
-	//funcx:ignore statusguard pre-enqueue: the id only becomes poppable at the Push below, so no concurrent transition exists yet.
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskQueued))
-	// Published before the enqueue: the instant the task is poppable
-	// its dispatched/terminal events can land, and the stream must
-	// never show them ahead of "queued". (A failed enqueue leaves one
-	// stray queued event for a task the caller was told failed — the
-	// benign side of the trade.)
-	//funcx:ignore statusguard pre-enqueue: the id only becomes poppable at the Push below, so no concurrent transition can reorder against this queued event.
-	s.publish(owner, types.TaskEvent{
-		TaskID: task.ID, Status: types.TaskQueued, EndpointID: epID, Time: time.Now(),
-	})
-	s.Trace.Stamp(task.ID, trace.StageQueued)
+	kind := taskrec.Place
+	if p.id != "" {
+		kind = taskrec.Release // a DAG node: its record was held at graph submission
+	}
+	if _, ok := s.apply(taskrec.Event{
+		Kind: kind, ID: id, Owner: owner, Endpoint: epID, Attempt: task.Attempt,
+		TS: time.Since(start), Memoize: sub.Memoize, Frame: data, At: time.Now(),
+	}); !ok {
+		s.Trace.Drop(id)
+		return "", "", false, fmt.Errorf("service: task %s is not waiting to be placed", id)
+	}
+	s.Trace.Stamp(id, trace.StageQueued)
 	if err := s.Store.Queue(store.TaskQueueName(string(epID))).Push(data); err != nil {
-		s.mu.Lock()
-		delete(s.inflight, task.ID)
-		s.submitted--
-		s.mu.Unlock()
-		s.Store.Hash(ownersHash).Del(string(task.ID))
-		s.Trace.Drop(task.ID)
+		// The caller is told the task failed, so no record may stand
+		// for it (its one "queued" event already went out).
+		s.tasks.Delete(id)
+		s.Trace.Drop(id)
 		return "", "", false, fmt.Errorf("service: enqueue: %w", err)
 	}
+	s.mu.Lock()
+	s.submitted++
+	s.mu.Unlock()
 	s.log.Debug("task placed",
 		"task_id", string(task.ID), "endpoint_id", string(epID),
 		"group_id", string(sub.GroupID), "function_id", string(sub.FunctionID),
@@ -1326,73 +1248,64 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 	return task.ID, epID, false, nil
 }
 
-// onResult runs in the forwarder when a result arrives, before it is
-// stored: it stamps the TS component, updates status, and feeds the
-// memo cache. Waiter wakeup happens downstream, when the stored
-// result's hash watch publishes the terminal event.
+// onResult is the forwarder's result sink: it stamps the TS component,
+// feeds the memo cache, and lands the result in the task's record.
+// A redelivery's duplicate, or a result for a task this shard no
+// longer holds, is dropped.
 func (s *Service) onResult(res *types.Result) {
-	s.mu.Lock()
-	if info, ok := s.inflight[res.TaskID]; ok {
-		res.Timing.TS = info.ts
+	rec, ok := s.tasks.Get(res.TaskID)
+	if !ok || rec.Status().Terminal() {
+		return
 	}
-	s.mu.Unlock()
-
-	status := terminalStatusOf(res)
-	s.statusMu.Lock()
-	// Never regress a landed terminal status: a late result from a
-	// past attempt (or from an agent whose task was already reclaimed
-	// as lost) must not flip the record.
-	if st, ok := s.Store.Hash(statusHash).Get(string(res.TaskID)); !ok || !types.TaskStatus(st).Terminal() {
-		s.Store.Hash(statusHash).Set(string(res.TaskID), []byte(status))
-	}
-	s.statusMu.Unlock()
+	res.Timing.TS = rec.TS()
 	s.Trace.Stamp(res.TaskID, trace.StageResult)
 	s.Trace.Remote(res.TaskID, res.Trace)
-
-	// Feed the memoization cache when the task opted in.
-	if data, ok := s.Store.Hash(tasksHash).Get(string(res.TaskID)); ok {
-		if task, err := wire.DecodeTask(data); err == nil && task.Memoize {
+	if rec.Memoize() {
+		if task, err := wire.DecodeTask(rec.Task()); err == nil {
 			s.Memo.Store(task.BodyHash, task.Payload, *res)
 		}
 	}
+	s.land(taskrec.Event{
+		Kind: taskrec.Result, ID: res.TaskID, Status: terminalStatusOf(res),
+		Frame: wire.EncodeResult(res), At: time.Now(),
+	})
+}
+
+// land retires a task with a result frame (ev is a Result or a Lose)
+// and reports whether this call did: the first terminal wins, and a
+// later one — a late result from a past attempt, a give-up racing the
+// real result — changes nothing. The terminal event, carrying the
+// frame, wakes every waiter blocked on the task through the bus; any
+// dependency graph waiting on the task then takes its step.
+func (s *Service) land(ev taskrec.Event) bool {
+	ev.DAGID = s.dagWaitingOn(ev.ID)
+	rec, ok := s.apply(ev)
+	if !ok {
+		return false
+	}
+	// Finish after the terminal publish so the publish stage covers the
+	// event fan-out; folding the timeline into the stage histograms is
+	// what makes the task visible to GET /v1/tasks/{id}/trace.
+	s.Trace.Finish(ev.ID)
+	s.log.Debug("task retired",
+		"task_id", string(ev.ID), "endpoint_id", string(rec.Endpoint()), "status", string(rec.Status()),
+		"trace_id", trace.TraceID(ev.ID, ev.DAGID))
+	// After the publish, and with no lock held: each release or
+	// dependency failure the step unlocks lands a record of its own.
+	s.applyDAGResult(ev.ID, rec.Status(), rec.Endpoint(), ev.Frame)
+	return true
 }
 
 // onDispatched runs in the forwarder after a task ships to the agent:
 // it advances the lifecycle status and publishes the "dispatched"
-// event. A terminal status is never regressed (redeliveries race
-// fast completions).
+// event, unless the task is already running or retired, or left this
+// endpoint or attempt (redeliveries race fast completions).
 func (s *Service) onDispatched(task *types.Task) {
-	s.statusMu.Lock()
-	// Skip when terminal, and also when already running: the running
-	// signal can outrace this notification (different path), and a
-	// dispatched event published after running would break the
-	// per-task stream order.
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok &&
-		(types.TaskStatus(st).Terminal() || types.TaskStatus(st) == types.TaskRunning) {
-		s.statusMu.Unlock()
-		return
+	if _, ok := s.apply(taskrec.Event{
+		Kind: taskrec.Dispatched, ID: task.ID, Endpoint: task.EndpointID, Attempt: task.Attempt, At: time.Now(),
+	}); ok {
+		s.Trace.Stamp(task.ID, trace.StageDispatched)
 	}
-	// Drop stale notifications: if failover already re-homed the task
-	// (inflight names a different endpoint), this dispatch is from
-	// the endpoint it just left and must not overwrite "queued" or
-	// put a dispatched(old-endpoint) event on the stream.
-	s.mu.Lock()
-	info, ok := s.inflight[task.ID]
-	s.mu.Unlock()
-	if ok && info.endpoint != task.EndpointID {
-		s.statusMu.Unlock()
-		return
-	}
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskDispatched))
-	// Published under statusMu: a concurrently landing terminal event
-	// must take the lock before its status write, so it cannot reach
-	// the stream ahead of this one (events.Bus never re-enters the
-	// service, so the lock order is safe).
-	s.publish(task.Owner, types.TaskEvent{
-		TaskID: task.ID, Status: types.TaskDispatched, EndpointID: task.EndpointID, Time: time.Now(),
-	})
-	s.statusMu.Unlock()
-	s.Trace.Stamp(task.ID, trace.StageDispatched)
 }
 
 // terminalStatusOf maps a stored result to the terminal status it
@@ -1411,40 +1324,18 @@ func terminalStatusOf(res *types.Result) types.TaskStatus {
 // onRunning runs in the forwarder when the agent relays a worker's
 // execution-start signal: it advances the lifecycle status to running
 // and publishes the TaskRunning event. The signal races the dispatch
-// notification (it travels a different path), so a running that
-// arrives while the record still says queued first publishes the
-// dispatched transition it proves happened — the per-task stream
-// order queued ≤ dispatched ≤ running ≤ terminal always holds.
+// notification (it travels a different path); one that arrives while
+// the record still says queued publishes the dispatched transition it
+// proves happened first. Signals from an endpoint the task has left
+// (reclaim/failover re-homed it while the old worker spun up) are
+// dropped.
 func (s *Service) onRunning(id types.TaskID, epID types.EndpointID) {
-	s.statusMu.Lock()
-	defer s.statusMu.Unlock()
-	st, ok := s.Store.Hash(statusHash).Get(string(id))
-	if !ok || types.TaskStatus(st).Terminal() {
-		return
-	}
-	// Drop stale signals from an endpoint the task has already left
-	// (reclaim/failover re-homed it while the old worker spun up).
-	s.mu.Lock()
-	info, tracked := s.inflight[id]
-	s.mu.Unlock()
-	if !tracked || info.endpoint != epID {
-		return
-	}
-	if types.TaskStatus(st) == types.TaskQueued {
-		s.Store.Hash(statusHash).Set(string(id), []byte(types.TaskDispatched))
-		s.publish(info.owner, types.TaskEvent{
-			TaskID: id, Status: types.TaskDispatched, EndpointID: epID, Time: time.Now(),
-		})
-		// The running signal outran the dispatch notification; the
-		// dispatch it proves happened is stamped now (first wins, so a
-		// late onDispatched cannot rewind it).
+	if _, ok := s.apply(taskrec.Event{Kind: taskrec.Running, ID: id, Endpoint: epID, At: time.Now()}); ok {
+		// Stamps are first-wins: the dispatch stamp lands here only when
+		// the signal outran the notification, which then cannot rewind it.
 		s.Trace.Stamp(id, trace.StageDispatched)
+		s.Trace.Stamp(id, trace.StageRunning)
 	}
-	s.Store.Hash(statusHash).Set(string(id), []byte(types.TaskRunning))
-	s.publish(info.owner, types.TaskEvent{
-		TaskID: id, Status: types.TaskRunning, EndpointID: epID, Time: time.Now(),
-	})
-	s.Trace.Stamp(id, trace.StageRunning)
 }
 
 // reclaim is the forwarder's OnReclaim hook: a dispatched task's
@@ -1463,7 +1354,7 @@ func (s *Service) reclaim(task *types.Task, reason string) bool {
 	}
 	// Already retired (the result landed concurrently with the
 	// reclaim): nothing to recover, drop the stale receipt.
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
+	if rec, ok := s.tasks.Get(task.ID); !ok || rec.Status().Terminal() {
 		return true
 	}
 	// Every genuine reclaim — including the ones that land as lost
@@ -1492,25 +1383,15 @@ func (s *Service) reclaim(task *types.Task, reason string) bool {
 	}
 	// Direct task — or a group task with no healthy alternative right
 	// now: requeue on its own endpoint with the bumped attempt, to be
-	// redelivered when the agent is (back) up. The write order mirrors
-	// failover: record and queued status land under statusMu before
-	// the enqueue, re-checking that no terminal result slipped in.
+	// redelivered when the agent is (back) up. As in failover, the
+	// record moves before the enqueue and a result that slipped in wins.
 	data := wire.EncodeTask(task)
-	s.statusMu.Lock()
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
-		s.statusMu.Unlock()
+	if _, ok := s.apply(taskrec.Event{
+		Kind: taskrec.Requeue, ID: task.ID, Endpoint: task.EndpointID, Attempt: task.Attempt, Frame: data, At: time.Now(),
+	}); !ok {
 		return true
 	}
-	s.Store.Hash(tasksHash).Set(string(task.ID), data)
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskQueued))
-	s.publish(task.Owner, types.TaskEvent{
-		TaskID: task.ID, Status: types.TaskQueued, EndpointID: task.EndpointID, Time: time.Now(),
-	})
-	s.statusMu.Unlock()
-	if err := s.Store.Queue(store.TaskQueueName(string(task.EndpointID))).Push(data); err != nil {
-		return false
-	}
-	return true
+	return s.Store.Queue(store.TaskQueueName(string(task.EndpointID))).Push(data) == nil
 }
 
 // --- lease-aware routing penalty ---
@@ -1591,101 +1472,32 @@ func (s *Service) retryBudget(task *types.Task) int {
 }
 
 // lose retires a task as TaskLost: the delivery layer gave up on it.
-// A synthetic Lost result is stored through the normal results hash,
-// so the terminal event publishes, waiters wake, and the caller's
-// future resolves with a typed error instead of hanging forever.
+// A synthetic Lost result lands like any other, so the terminal event
+// publishes, waiters wake, and the caller's future resolves with a
+// typed error instead of hanging forever. A real result that raced
+// the give-up and landed first stands.
 func (s *Service) lose(task *types.Task, why string) {
-	s.log.Warn("task lost",
-		"task_id", string(task.ID), "endpoint_id", string(task.EndpointID), "reason", why)
-	s.statusMu.Lock()
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
-		s.statusMu.Unlock()
-		return
-	}
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskLost))
-	s.statusMu.Unlock()
-	s.mu.Lock()
-	s.lost++
-	_, pending := s.inflight[task.ID]
-	s.mu.Unlock()
-	// A real result racing this give-up may have stored and published
-	// between the status write above and here (it consumed the
-	// inflight entry). Writing the synthetic result then would
-	// overwrite genuine output after its terminal event already went
-	// out — skip it; the stored real result stands.
-	if !pending {
-		return
-	}
 	res := &types.Result{
 		TaskID:    task.ID,
 		Err:       fmt.Sprintf(`{"message":%q,"task_id":%q}`, "task lost: "+why, task.ID),
 		Lost:      true,
 		Completed: time.Now(),
 	}
-	// The result write is outside statusMu: the hash watch
-	// (onResultStored) re-acquires it to publish the terminal event.
-	s.Store.Hash(resultsHash).Set(string(task.ID), wire.EncodeResult(res))
-}
-
-// onResultStored is the results-hash completion hook: it fires once
-// per stored result (forwarder path and memo path alike), consumes
-// the task's inflight entry, and publishes the terminal event — which
-// in turn wakes every waiter blocked on the task through the bus.
-// Re-writes of an already-retired task (purge TTL re-stamps,
-// duplicate at-least-once deliveries) find no inflight entry and
-// publish nothing.
-func (s *Service) onResultStored(field string, value []byte) {
-	id := types.TaskID(field)
-	s.mu.Lock()
-	info, ok := s.inflight[id]
-	if ok {
-		delete(s.inflight, id)
-	}
-	s.mu.Unlock()
-	if !ok {
+	if !s.land(taskrec.Event{Kind: taskrec.Lose, ID: task.ID, Frame: wire.EncodeResult(res), At: res.Completed}) {
 		return
 	}
-	status := types.TaskSuccess
-	if res, err := wire.DecodeResult(value); err == nil {
-		status = terminalStatusOf(res)
-	}
-	// Ensure the status record is terminal even when the result was
-	// written without passing through onResult — and when a terminal
-	// status already landed (e.g. the delivery layer gave the task up
-	// as lost just as its real result arrived), that first terminal
-	// wins: the published event must agree with the record.
-	s.statusMu.Lock()
-	if st, ok := s.Store.Hash(statusHash).Get(field); ok && types.TaskStatus(st).Terminal() {
-		status = types.TaskStatus(st)
-	} else {
-		s.Store.Hash(statusHash).Set(field, []byte(status))
-	}
-	s.statusMu.Unlock()
-	// DAG step: when any graph is waiting on this task, journal its
-	// output and apply the transitions now, but execute the unlocked
-	// releases/failures only after the terminal publish — each action
-	// stores a result of its own and recurses through this hook.
-	dagID, dagAfter := s.applyDAGResult(id, status, info.endpoint, value)
-	//funcx:ignore statusguard the terminal status was resolved first-wins under statusMu above; publishing outside keeps the DAG cascade off the lock.
-	s.publish(info.owner, types.TaskEvent{
-		TaskID: id, Status: status, EndpointID: info.endpoint, Result: value, DAGID: dagID, Time: time.Now(),
-	})
-	// Finish after the terminal publish so the publish stage covers the
-	// event fan-out; folding the timeline into the stage histograms is
-	// what makes the task visible to GET /v1/tasks/{id}/trace.
-	s.Trace.Finish(id)
-	if dagAfter != nil {
-		dagAfter()
-	}
-	s.log.Debug("task retired",
-		"task_id", string(id), "endpoint_id", string(info.endpoint), "status", string(status),
-		"trace_id", trace.TraceID(id, dagID))
+	s.log.Warn("task lost",
+		"task_id", string(task.ID), "endpoint_id", string(task.EndpointID), "reason", why)
+	s.mu.Lock()
+	s.lost++
+	s.mu.Unlock()
 }
 
-// Status returns a task's lifecycle state.
+// Status returns a task's lifecycle state. A retired record still
+// answers with its terminal status.
 func (s *Service) Status(id types.TaskID) (types.TaskStatus, error) {
-	if b, ok := s.Store.Hash(statusHash).Get(string(id)); ok {
-		return types.TaskStatus(b), nil
+	if rec, ok := s.tasks.Get(id); ok {
+		return rec.Status(), nil
 	}
 	return "", fmt.Errorf("%w: task %s", registry.ErrNotFound, id)
 }
@@ -1696,14 +1508,24 @@ func (s *Service) Status(id types.TaskID) (types.TaskStatus, error) {
 // the retention ring, or submitted while tracing was disabled — are not
 // found either.
 func (s *Service) TaskTrace(actor types.UserID, id types.TaskID) (*trace.Timeline, error) {
-	if err := s.checkOwnership(actor, id); err != nil {
-		return nil, err
+	if rec, _ := s.tasks.Get(id); foreign(rec, actor) {
+		return nil, fmt.Errorf("%w: task %s", registry.ErrNotFound, id)
 	}
 	tl, ok := s.Trace.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: no trace for task %s", registry.ErrNotFound, id)
 	}
 	return tl, nil
+}
+
+// foreign reports whether rec is recorded as owned by someone other
+// than actor (an empty actor is a trusted in-process caller). Ids with
+// no owner on record — never submitted, or already retrieved and
+// retired — pass: they behave exactly like unknown tasks on every
+// surface, so rejecting them would leak existence and break
+// retry-after-retrieval flows.
+func foreign(rec taskrec.Record, actor types.UserID) bool {
+	return actor != "" && rec.Owner() != "" && rec.Owner() != actor
 }
 
 // Result fetches a task result, optionally blocking up to wait for it.
@@ -1713,11 +1535,7 @@ func (s *Service) TaskTrace(actor types.UserID, id types.TaskID) (*trace.Timelin
 // bounds the block, so an abandoned HTTP retrieval releases its waiter
 // immediately.
 func (s *Service) Result(ctx context.Context, id types.TaskID, wait time.Duration) (*types.Result, error) {
-	done, _ := s.WaitTasks(ctx, []types.TaskID{id}, wait)
-	if len(done) == 0 {
-		return nil, nil // not ready
-	}
-	return done[0], nil
+	return s.ResultFor(ctx, "", id, wait)
 }
 
 // ResultFor is Result with per-user access control: when actor is
@@ -1727,39 +1545,11 @@ func (s *Service) Result(ctx context.Context, id types.TaskID, wait time.Duratio
 // HTTP retrieval surfaces call this; trusted in-process callers use
 // Result directly.
 func (s *Service) ResultFor(ctx context.Context, actor types.UserID, id types.TaskID, wait time.Duration) (*types.Result, error) {
-	if err := s.checkOwnership(actor, id); err != nil {
-		return nil, err
+	done, _, err := s.WaitTasksFor(ctx, actor, []types.TaskID{id}, wait)
+	if err != nil || len(done) == 0 {
+		return nil, err // nil, nil: not ready
 	}
-	return s.Result(ctx, id, wait)
-}
-
-// WaitTasksFor is WaitTasks with per-user access control: when actor
-// is non-empty and any requested id belongs to a different user, the
-// whole request is rejected as not found before anything is waited on
-// or purged.
-func (s *Service) WaitTasksFor(ctx context.Context, actor types.UserID, ids []types.TaskID, wait time.Duration) ([]*types.Result, []types.TaskID, error) {
-	for _, id := range ids {
-		if err := s.checkOwnership(actor, id); err != nil {
-			return nil, nil, err
-		}
-	}
-	done, pending := s.WaitTasks(ctx, ids, wait)
-	return done, pending, nil
-}
-
-// checkOwnership rejects a task id recorded as owned by someone other
-// than actor. Ids with no owner record (never submitted, or already
-// retrieved and purged) pass through: they behave exactly like
-// unknown tasks on every surface, so rejecting them would leak
-// existence and break retry-after-retrieval flows.
-func (s *Service) checkOwnership(actor types.UserID, id types.TaskID) error {
-	if actor == "" {
-		return nil
-	}
-	if o, ok := s.Store.Hash(ownersHash).Get(string(id)); ok && types.UserID(o) != actor {
-		return fmt.Errorf("%w: task %s", registry.ErrNotFound, id)
-	}
-	return nil
+	return done[0], nil
 }
 
 // WaitTasks blocks up to wait for any of ids to complete, returning
@@ -1772,6 +1562,16 @@ func (s *Service) checkOwnership(actor types.UserID, id types.TaskID) error {
 // of N — this is the engine behind POST /v1/tasks/wait and the SDK's
 // GetResults.
 func (s *Service) WaitTasks(ctx context.Context, ids []types.TaskID, wait time.Duration) ([]*types.Result, []types.TaskID) {
+	done, pending, _ := s.WaitTasksFor(ctx, "", ids, wait)
+	return done, pending
+}
+
+// WaitTasksFor is WaitTasks with per-user access control: when actor
+// is non-empty and any requested id belongs to a different user, the
+// whole request is rejected as not found before anything is waited on
+// or purged. The same read of the record serves the check and the
+// result.
+func (s *Service) WaitTasksFor(ctx context.Context, actor types.UserID, ids []types.TaskID, wait time.Duration) ([]*types.Result, []types.TaskID, error) {
 	uniq := make([]types.TaskID, 0, len(ids))
 	remaining := make(map[types.TaskID]bool, len(ids))
 	for _, id := range ids {
@@ -1781,33 +1581,23 @@ func (s *Service) WaitTasks(ctx context.Context, ids []types.TaskID, wait time.D
 		}
 	}
 	results := make(map[types.TaskID]*types.Result, len(uniq))
-	take := func(id types.TaskID) {
-		b, ok := s.Store.Hash(resultsHash).Get(string(id))
-		if !ok {
-			return
+	// take collects id's result if it has landed, and reports whether
+	// the caller may ask for it at all.
+	take := func(id types.TaskID) bool {
+		rec, _ := s.tasks.Get(id)
+		if foreign(rec, actor) {
+			return false
 		}
-		res, err := wire.DecodeResult(b)
-		if err != nil {
+		if frame := rec.Result(); frame != nil {
 			// A corrupt stored result (unreachable via EncodeResult)
 			// stays pending rather than failing the batch.
-			return
+			if res, err := wire.DecodeResult(frame); err == nil {
+				results[id] = res
+				delete(remaining, id)
+			}
 		}
-		results[id] = res
-		delete(remaining, id)
+		return true
 	}
-	// Purge-on-read is deferred until the call returns: purging each
-	// result the moment it completes mid-wait would turn a client
-	// disconnect during a minutes-long hold into permanent loss of
-	// everything gathered so far. On a canceled request nothing is
-	// purged at all — the results stay retrievable for the retry.
-	defer func() {
-		if ctx.Err() != nil {
-			return
-		}
-		for id := range results {
-			s.purgeAfterRead(id)
-		}
-	}()
 
 	// For blocking calls, register for completion pings *before* the
 	// first sweep so an arrival between sweep and block cannot be
@@ -1821,8 +1611,23 @@ func (s *Service) WaitTasks(ctx context.Context, ids []types.TaskID, wait time.D
 	}
 
 	for _, id := range uniq {
-		take(id)
+		if !take(id) {
+			return nil, nil, fmt.Errorf("%w: task %s", registry.ErrNotFound, id)
+		}
 	}
+	// Purge-on-read is deferred until the call returns: purging each
+	// result the moment it completes mid-wait would turn a client
+	// disconnect during a minutes-long hold into permanent loss of
+	// everything gathered so far. On a canceled request nothing is
+	// purged at all — the results stay retrievable for the retry.
+	defer func() {
+		if ctx.Err() != nil {
+			return
+		}
+		for id := range results {
+			s.retire(id, s.cfg.ResultTTL)
+		}
+	}()
 	if wait > 0 && len(remaining) > 0 {
 		timer := time.NewTimer(wait)
 		defer timer.Stop()
@@ -1852,26 +1657,7 @@ func (s *Service) WaitTasks(ctx context.Context, ids []types.TaskID, wait time.D
 			pending = append(pending, id)
 		}
 	}
-	return done, pending
-}
-
-// purgeAfterRead schedules cleanup of a retrieved result: with a TTL
-// the janitor collects it shortly; without, it is dropped immediately
-// along with the task record.
-func (s *Service) purgeAfterRead(id types.TaskID) {
-	if s.cfg.ResultTTL > 0 {
-		if b, ok := s.Store.Hash(resultsHash).Get(string(id)); ok {
-			s.Store.Hash(resultsHash).SetTTL(string(id), b, s.cfg.ResultTTL)
-			s.Store.Hash(tasksHash).SetTTL(string(id), nil, s.cfg.ResultTTL)
-			if o, ok := s.Store.Hash(ownersHash).Get(string(id)); ok {
-				s.Store.Hash(ownersHash).SetTTL(string(id), o, s.cfg.ResultTTL)
-			}
-		}
-		return
-	}
-	s.Store.Hash(resultsHash).Del(string(id))
-	s.Store.Hash(tasksHash).Del(string(id))
-	s.Store.Hash(ownersHash).Del(string(id))
+	return done, pending, nil
 }
 
 // streamPurgeGrace is the retention window applied to results purged
@@ -1882,24 +1668,18 @@ func (s *Service) purgeAfterRead(id types.TaskID) {
 // instead of deleting immediately.
 const streamPurgeGrace = 30 * time.Second
 
-// purgeAfterStream schedules cleanup of a result that was delivered
-// inline on the owner's event stream. Unlike purgeAfterRead it never
-// deletes immediately: the stored bytes survive for the configured
-// ResultTTL (or streamPurgeGrace when none is set) so concurrent
-// pollers of the same user can still retrieve them. It reports whether
-// this call scheduled the cleanup: false for a result some other
-// stream (or a read) already scheduled, or that is gone.
-func (s *Service) purgeAfterStream(id types.TaskID) bool {
-	ttl := s.cfg.ResultTTL
-	if ttl <= 0 {
-		ttl = streamPurgeGrace
+// retire schedules cleanup of a result that has been delivered: the
+// record drops its frames and owner, keeping its terminal status, after
+// ttl — shortly, by the store's janitor — or at once when ttl is zero.
+// It reports whether this call scheduled the cleanup: false for a
+// result some earlier delivery already scheduled, or that is gone.
+func (s *Service) retire(id types.TaskID, ttl time.Duration) bool {
+	ev := taskrec.Event{Kind: taskrec.Retire, ID: id}
+	if ttl > 0 {
+		ev.At = time.Now().Add(ttl)
 	}
-	if !s.Store.Hash(resultsHash).Expire(string(id), ttl) {
-		return false
-	}
-	s.Store.Hash(tasksHash).Expire(string(id), ttl)
-	s.Store.Hash(ownersHash).Expire(string(id), ttl)
-	return true
+	_, ok := s.apply(ev)
+	return ok
 }
 
 // mintTaskID generates a task id. A sharded service mints ids its own
@@ -1989,8 +1769,9 @@ func (s *Service) StatsSnapshot() api.StatsResponse {
 // Ready reports whether this instance should receive traffic — the
 // debug server's /readyz probe. Not ready while shutting down, when a
 // durable instance's WAL is not open (recovery runs synchronously in
-// Open, so an open WAL means replay completed), or when a sharded
-// instance's own id is missing from the ring it loaded.
+// Open, so an open WAL means replay completed) or has failed (its
+// I/O error is sticky: nothing accepted since is durable), or when a
+// sharded instance's own id is missing from the ring it loaded.
 func (s *Service) Ready() (bool, string) {
 	if s.ctx.Err() != nil {
 		return false, "shutting down"
@@ -1998,6 +1779,9 @@ func (s *Service) Ready() (bool, string) {
 	if s.cfg.DataDir != "" {
 		if _, ok := s.Store.WALStats(); !ok {
 			return false, "wal not open"
+		}
+		if err := s.Store.WALErr(); err != nil {
+			return false, "wal: " + err.Error()
 		}
 	}
 	if s.sharded() {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +16,9 @@ import (
 	"funcx/internal/api"
 	"funcx/internal/auth"
 	"funcx/internal/netlat"
+	"funcx/internal/registry"
 	"funcx/internal/store"
+	"funcx/internal/taskrec"
 	"funcx/internal/types"
 	"funcx/internal/wire"
 )
@@ -225,12 +228,41 @@ func TestBatchSubmit(t *testing.T) {
 	}
 }
 
-// completeTask simulates the forwarder path: store a result (the
-// results-hash watch publishes the terminal event and wakes waiters).
+// completeTask simulates the forwarder path: hand a result to the
+// service's sink (landing it publishes the terminal event and wakes
+// waiters).
 func completeTask(svc *Service, id types.TaskID, output []byte) {
-	res := &types.Result{TaskID: id, Output: output, Completed: time.Now()}
-	svc.onResult(res)
-	svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
+	svc.onResult(&types.Result{TaskID: id, Output: output, Completed: time.Now()})
+}
+
+// A submission whose enqueue fails is reported failed and leaves no
+// record behind: its id answers not-found, like any id never accepted.
+func TestFailedEnqueueLeavesNoRecord(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	sub := svc.Events.Subscribe("alice")
+	defer sub.Cancel()
+	before, _ := svc.Stats()
+	svc.Store.Queue(store.TaskQueueName(string(epID))).Close()
+
+	if _, _, _, err := svc.SubmitTaskAt("alice", Submission{FunctionID: fnID, EndpointID: epID}, time.Now()); err == nil {
+		t.Fatal("submit against a closed queue succeeded")
+	}
+	// The stray "queued" event is the only way to learn the id.
+	var id types.TaskID
+	select {
+	case ev := <-sub.C:
+		id = ev.TaskID
+	case <-time.After(time.Second):
+		t.Fatal("no queued event for the failed submission")
+	}
+	if st, err := svc.Status(id); !errors.Is(err, registry.ErrNotFound) {
+		t.Fatalf("Status(%s) after the failed enqueue = %q, %v; want not found", id, st, err)
+	}
+	if after, _ := svc.Stats(); after != before {
+		t.Fatalf("submitted %d -> %d; want no change", before, after)
+	}
+	svc.tasks.Range(func(id types.TaskID, rec taskrec.Record) { t.Errorf("record %s left behind: %+v", id, rec) })
 }
 
 func TestResultRetrievalAndPurge(t *testing.T) {
@@ -250,9 +282,9 @@ func TestResultRetrievalAndPurge(t *testing.T) {
 	if res.Timing.TSNanos <= 0 {
 		t.Fatalf("TS not stamped: %+v", res.Timing)
 	}
-	// Retrieved results are purged (§4.1).
-	if _, ok := svc.Store.Hash("results").Get(string(sub.TaskID)); ok {
-		t.Fatal("result not purged after retrieval")
+	// Retrieved results are purged (§4.1); the terminal status stays.
+	if rec, _ := svc.tasks.Get(sub.TaskID); rec.Result() != nil || rec.Status() != types.TaskSuccess {
+		t.Fatalf("after retrieval: result %q, status %q; want it purged and still success", rec.Result(), rec.Status())
 	}
 }
 
@@ -450,11 +482,11 @@ func TestSubmitFrameStoresTheSameTask(t *testing.T) {
 		if code != http.StatusAccepted || resp.TaskID == "" || resp.EndpointID != epID {
 			t.Fatalf("submit as %q = %d, %+v", name, code, resp)
 		}
-		data, ok := svc.Store.Hash(tasksHash).Get(string(resp.TaskID))
+		rec, ok := svc.tasks.Get(resp.TaskID)
 		if !ok {
 			t.Fatalf("submit as %q: no task record", name)
 		}
-		task, err := wire.DecodeTask(data)
+		task, err := wire.DecodeTask(rec.Task())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,11 +629,11 @@ func TestSubmitBatchFrame(t *testing.T) {
 			}
 			continue
 		}
-		data, ok := svc.Store.Hash(tasksHash).Get(string(o.TaskID))
+		rec, ok := svc.tasks.Get(o.TaskID)
 		if !ok || o.EndpointID != epID {
 			t.Fatalf("entry %d: outcome %+v, stored %v", i, o, ok)
 		}
-		if task, err := wire.DecodeTask(data); err != nil || !bytes.Equal(task.Payload, entries[i].Payload) || task.Memoize != entries[i].Memoize || task.Owner != "alice" {
+		if task, err := wire.DecodeTask(rec.Task()); err != nil || !bytes.Equal(task.Payload, entries[i].Payload) || task.Memoize != entries[i].Memoize || task.Owner != "alice" {
 			t.Errorf("entry %d stored %+v, %v", i, task, err)
 		}
 	}

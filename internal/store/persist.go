@@ -14,11 +14,14 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"funcx/internal/taskrec"
+	"funcx/internal/types"
 	"funcx/internal/wal"
 )
 
@@ -62,7 +65,8 @@ func (j *journal) unlock() { j.freeze.RUnlock() }
 
 // record appends one op. Called with freeze held shared and the owning
 // structure's mutex held, so append order is apply order. WAL errors
-// are sticky inside the log and surfaced via Store.WALErr.
+// are sticky inside the log and surfaced via Store.WALErr, which the
+// service's readiness probe and funcx_wal_failed gauge report.
 func (j *journal) record(op []byte) {
 	_ = j.log.Append(op)
 	j.ops.Add(1)
@@ -76,6 +80,7 @@ func (j *journal) record(op []byte) {
 func NewPersistent(log *wal.Log, opts PersistOptions) (*Store, error) {
 	s := New()
 	s.j = &journal{log: log}
+	s.tasks.j = s.j
 	s.popts = opts.withDefaults()
 	if blob := log.RecoveredSnapshot(); len(blob) > 0 {
 		if err := s.decodeSnapshot(blob); err != nil {
@@ -203,6 +208,8 @@ const (
 	opQAck
 	opQNack
 	opQRequeue
+	opTask    // one task-table transition: a taskrec.Event
+	opTaskDel // a task record removed outright
 )
 
 func appendString(b []byte, s string) []byte {
@@ -361,6 +368,20 @@ func (s *Store) applyRecord(rec []byte) error {
 			return r.err
 		}
 		s.Queue(name).applyRequeue(receipts)
+	case opTask:
+		ev, err := taskrec.DecodeEvent(rec[1:])
+		if err != nil {
+			return err
+		}
+		if !s.tasks.replay(ev) {
+			return fmt.Errorf("task %s: journaled %s does not apply to its record", ev.ID, ev.Kind)
+		}
+	case opTaskDel:
+		id := r.string()
+		if r.err != nil {
+			return r.err
+		}
+		delete(s.tasks.stripe(types.TaskID(id)).recs, types.TaskID(id))
 	default:
 		return fmt.Errorf("unknown opcode %d", rec[0])
 	}
@@ -444,7 +465,8 @@ func (q *Queue) applyRequeue(receipts []uint64) {
 
 // ---------------------------------------------------------------------
 // Snapshot codec: full store state (hashes with absolute expiries,
-// queues with items, pending sets, and sequence counters).
+// queues with items, pending sets, and sequence counters, then the
+// task table's records).
 // ---------------------------------------------------------------------
 
 // encodeSnapshot serializes current state. Called with the freeze lock
@@ -510,6 +532,21 @@ func (s *Store) encodeSnapshot() []byte {
 		}
 		q.mu.Unlock()
 	}
+
+	// The task table, without its stripe locks: every table mutation
+	// holds the freeze lock shared, so none is in progress, and a
+	// publisher may be holding a stripe while it waits for that lock.
+	n := 0
+	for i := range s.tasks.stripes {
+		n += len(s.tasks.stripes[i].recs)
+	}
+	b = binary.AppendUvarint(b, uint64(n))
+	for i := range s.tasks.stripes {
+		for id, rec := range s.tasks.stripes[i].recs {
+			b = appendString(b, string(id))
+			b = taskrec.AppendRecord(b, rec)
+		}
+	}
 	return b
 }
 
@@ -564,6 +601,21 @@ func (s *Store) decodeSnapshot(blob []byte) error {
 			q.pending[receipt] = queued{data: d, seq: seq}
 		}
 		q.nextID = nextID
+	}
+	if r.err == nil && r.off == len(r.b) {
+		return errors.New("no task table section: the snapshot predates the task table")
+	}
+	for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+		id := types.TaskID(r.string())
+		if r.err != nil {
+			break
+		}
+		rec, rest, err := taskrec.DecodeRecord(r.b[r.off:])
+		if err != nil {
+			return err
+		}
+		r.off = len(r.b) - len(rest)
+		s.tasks.stripe(id).recs[id] = rec
 	}
 	return r.err
 }

@@ -36,8 +36,6 @@ func TestPersistentRoundTrip(t *testing.T) {
 	s.Hash("tasks").Del("t1")
 	s.Hash("results").SetTTL("t9", []byte("gone"), time.Nanosecond)
 	s.Hash("results").SetTTL("t3", []byte("kept"), time.Hour)
-	s.Hash("results").Set("t8", []byte("gone too"))
-	s.Hash("results").Expire("t8", time.Nanosecond)
 
 	q := s.Queue("tasks:ep1")
 	for i := 0; i < 5; i++ {
@@ -71,9 +69,6 @@ func TestPersistentRoundTrip(t *testing.T) {
 	}
 	if _, ok := s2.Hash("results").Get("t9"); ok {
 		t.Fatal("expired field t9 survived recovery")
-	}
-	if _, ok := s2.Hash("results").Get("t8"); ok {
-		t.Fatal("field t8, given a lapsed expiry by Expire, survived recovery")
 	}
 	if v, ok := s2.Hash("results").Get("t3"); !ok || string(v) != "kept" {
 		t.Fatalf("t3 = %q, %v", v, ok)

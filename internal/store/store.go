@@ -1,7 +1,8 @@
 // Package store is the in-memory substitute for the AWS ElastiCache
-// Redis deployment of paper §4.1. The funcX service keeps serialized
-// function bodies and task records in Redis hashsets, and one task
-// queue plus one result queue per endpoint. The queues are *reliable*:
+// Redis deployment of paper §4.1. The funcX service keeps its registry
+// and bookkeeping in Redis-style hashsets, one record per task in the
+// task table (TaskTable, over internal/taskrec), and one task queue
+// per endpoint. The queues are *reliable*:
 // a consumer pops an item into a pending set and must acknowledge it;
 // unacknowledged items can be returned to the queue (the mechanism the
 // forwarder uses to re-deliver tasks after an endpoint disconnect,
@@ -43,7 +44,6 @@ type Hash struct {
 	mu     sync.RWMutex
 	fields map[string]entry
 	now    func() time.Time
-	watch  func(field string, value []byte)
 
 	// set by a persistent Store; nil in pure in-memory mode
 	name string
@@ -64,8 +64,10 @@ func (h *Hash) Set(field string, value []byte) {
 func (h *Hash) SetTTL(field string, value []byte, ttl time.Duration) {
 	if h.j != nil {
 		h.j.lock()
+		defer h.j.unlock()
 	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	e := entry{value: value}
 	if ttl > 0 {
 		e.expiry = h.now().Add(ttl)
@@ -74,52 +76,6 @@ func (h *Hash) SetTTL(field string, value []byte, ttl time.Duration) {
 	if h.j != nil {
 		h.j.record(encodeHSet(h.name, field, value, e.expiry))
 	}
-	watch := h.watch
-	h.mu.Unlock()
-	if h.j != nil {
-		// Released before the watcher runs: watchers may re-enter the
-		// store and must not recurse into the freeze lock.
-		h.j.unlock()
-	}
-	if watch != nil {
-		watch(field, value)
-	}
-}
-
-// Expire gives field a ttl if it exists and has no expiry yet, and
-// reports whether it did: of any number of callers racing to schedule
-// one field's removal, exactly one is told true. The value is
-// untouched, so the watcher does not run; the journal records the same
-// field-with-expiry entry SetTTL would.
-func (h *Hash) Expire(field string, ttl time.Duration) bool {
-	if h.j != nil {
-		h.j.lock()
-		defer h.j.unlock()
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	e, ok := h.fields[field]
-	if !ok || !e.expiry.IsZero() {
-		return false
-	}
-	e.expiry = h.now().Add(ttl)
-	h.fields[field] = e
-	if h.j != nil {
-		h.j.record(encodeHSet(h.name, field, e.value, e.expiry))
-	}
-	return true
-}
-
-// SetWatch installs a single observer invoked synchronously after
-// every Set/SetTTL with the stored field and value — the completion
-// hook the service uses to drive its task event bus off result-hash
-// writes (forwarder-stored results and memo-served results alike)
-// without polling. The watcher runs outside the hash lock and may
-// re-enter the store; install it before the hash sees traffic.
-func (h *Hash) SetWatch(fn func(field string, value []byte)) {
-	h.mu.Lock()
-	h.watch = fn
-	h.mu.Unlock()
 }
 
 // Get returns the value for field and whether it exists (and is not
@@ -575,13 +531,13 @@ func (q *Queue) Close() {
 	q.signalAll()
 }
 
-// Store bundles named hashes and named queues, like one Redis instance
-// serving the whole funcX service: task hashset, result hashset, one
-// task queue and one result queue per endpoint.
+// Store bundles named hashes, named queues and the task table, like
+// one Redis instance serving the whole funcX service.
 type Store struct {
 	mu     sync.Mutex
 	hashes map[string]*Hash
 	queues map[string]*Queue
+	tasks  *TaskTable
 	closed bool
 
 	janitorStop chan struct{}
@@ -596,8 +552,11 @@ type Store struct {
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{hashes: make(map[string]*Hash), queues: make(map[string]*Queue)}
+	return &Store{hashes: make(map[string]*Hash), queues: make(map[string]*Queue), tasks: newTaskTable()}
 }
+
+// Tasks returns the store's task table.
+func (s *Store) Tasks() *TaskTable { return s.tasks }
 
 // Hash returns the named hashset, creating it on first use.
 func (s *Store) Hash(name string) *Hash {
@@ -637,8 +596,9 @@ func (s *Store) QueueNames() []string {
 }
 
 // StartJanitor launches a background loop that purges expired hash
-// fields every interval, mirroring funcX's periodic purge of retrieved
-// results from the Redis store (§4.1). Stop with StopJanitor.
+// fields and retires task records whose retirement is due every
+// interval, mirroring funcX's periodic purge of retrieved results from
+// the Redis store (§4.1). Stop with StopJanitor.
 func (s *Store) StartJanitor(interval time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -674,8 +634,8 @@ func (s *Store) StopJanitor() {
 	}
 }
 
-// PurgeExpired removes expired fields from every hash, returning the
-// total removed.
+// PurgeExpired removes expired fields from every hash and retires due
+// task records, returning the total.
 func (s *Store) PurgeExpired() int {
 	s.mu.Lock()
 	hashes := make([]*Hash, 0, len(s.hashes))
@@ -687,7 +647,7 @@ func (s *Store) PurgeExpired() int {
 	for _, h := range hashes {
 		n += h.Purge()
 	}
-	return n
+	return n + s.tasks.purge()
 }
 
 // Close stops the janitor and snapshotter, closes every queue, and —

@@ -51,37 +51,6 @@ func TestHashTTLExpiry(t *testing.T) {
 	}
 }
 
-// Expire schedules a field's removal once: the caller that set the
-// expiry is told so, every later one (and one naming a missing field)
-// is not, and the watcher is not re-run for an unchanged value.
-func TestHashExpireSchedulesOnce(t *testing.T) {
-	h := NewHash()
-	now := time.Now()
-	h.now = func() time.Time { return now }
-	watched := 0
-	h.SetWatch(func(string, []byte) { watched++ })
-	h.Set("x", []byte("v"))
-	if h.Expire("missing", time.Second) {
-		t.Fatal("Expire reported scheduling a missing field")
-	}
-	if !h.Expire("x", 10*time.Millisecond) {
-		t.Fatal("first Expire did not schedule")
-	}
-	if h.Expire("x", time.Hour) {
-		t.Fatal("second Expire rescheduled a field that already expires")
-	}
-	if v, ok := h.Get("x"); !ok || string(v) != "v" {
-		t.Fatalf("value after Expire = %q, %v", v, ok)
-	}
-	if watched != 1 {
-		t.Fatalf("watcher ran %d times, want 1 (the Set only)", watched)
-	}
-	now = now.Add(11 * time.Millisecond)
-	if _, ok := h.Get("x"); ok {
-		t.Fatal("field outlived the first Expire's ttl")
-	}
-}
-
 func TestHashKeys(t *testing.T) {
 	h := NewHash()
 	h.Set("a", nil)
@@ -386,35 +355,5 @@ func TestQueueNames(t *testing.T) {
 	}
 	if ResultQueueName("abc") != "results:abc" {
 		t.Fatal(ResultQueueName("abc"))
-	}
-}
-
-func TestHashSetWatchObservesWrites(t *testing.T) {
-	h := NewHash()
-	type seen struct {
-		field string
-		value string
-	}
-	var got []seen
-	h.SetWatch(func(field string, value []byte) {
-		got = append(got, seen{field, string(value)})
-	})
-	h.Set("a", []byte("1"))
-	h.SetTTL("b", []byte("2"), time.Hour)
-	h.Del("a") // deletes are not write completions
-	if len(got) != 2 || got[0] != (seen{"a", "1"}) || got[1] != (seen{"b", "2"}) {
-		t.Fatalf("watch saw %v", got)
-	}
-	// The watcher may re-enter the hash without deadlocking.
-	reentered := false
-	h.SetWatch(func(field string, _ []byte) {
-		if !reentered {
-			reentered = true
-			h.Set("nested", []byte("x"))
-		}
-	})
-	h.Set("c", []byte("3"))
-	if v, ok := h.Get("nested"); !ok || string(v) != "x" {
-		t.Fatal("re-entrant watcher write lost")
 	}
 }

@@ -417,6 +417,7 @@ func (l *Log) Rotate() (uint64, error) {
 	}
 	l.f = nil
 	if err := l.openSegmentLocked(l.seg + 1); err != nil {
+		l.err = err // no open segment: nothing appended from here on is kept
 		return 0, err
 	}
 	l.rotations.Add(1)
