@@ -32,6 +32,7 @@ lint:
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -fuzz=FuzzRestamp -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/promtext
 	$(GO) test -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/wal
 

@@ -131,6 +131,7 @@ func main() {
 			HeartbeatPeriod: *heartbeat,
 			Runtime:         rt,
 			Containers:      ctrs,
+			Logger:          logger,
 		})
 		if err := m.Start(ctx); err != nil {
 			log.Fatalf("funcx-endpoint: starting manager %d: %v", i, err)

@@ -103,7 +103,7 @@ type managerState struct {
 	// advertisement round-trip.
 	awaitingAdvert bool
 	// outstanding tasks at this manager, by id.
-	outstanding map[types.TaskID]*types.Task
+	outstanding map[types.TaskID]wire.TaskView
 	suspended   bool
 }
 
@@ -118,9 +118,9 @@ func traceIDOf(t *types.Task) string {
 }
 
 // arrivedTask tracks a task between arrival at the agent and result
-// departure, for the TE timing component and loss recovery.
+// departure, for the TE timing component and log correlation.
 type arrivedTask struct {
-	task    *types.Task
+	traceID string
 	arrived time.Time
 }
 
@@ -150,10 +150,12 @@ type Agent struct {
 	upstream  transport.Conn
 	connected bool
 	managers  map[types.ManagerID]*managerState
-	queue     []*types.Task
-	inflight  map[types.TaskID]*arrivedTask
-	rng       *rand.Rand
-	rrCursor  int
+	// queue holds each task as the frame it arrived in, which is what a
+	// manager is sent.
+	queue    []wire.TaskView
+	inflight map[types.TaskID]*arrivedTask
+	rng      *rand.Rand
+	rrCursor int
 	// advice is the latest scaling advice from the service, with its
 	// local receipt time (staleness is judged against the receiver's
 	// clock so cross-machine skew cannot pin old advice).
@@ -425,18 +427,20 @@ func (a *Agent) upstreamLoop(conn transport.Conn) {
 		//funcx:exhaustive funcx/internal/transport.MsgType ignore=MsgRegister,MsgRegisterAck,MsgResult,MsgCapacity,MsgTaskRequest,MsgSuspend,MsgStatus,MsgRunning
 		switch msg.Type {
 		case transport.MsgTask:
-			t, err := wire.DecodeTask(msg.Payload)
+			v, err := wire.ViewTask(msg.Payload)
 			if err != nil {
+				transport.WarnUndecodable(a.log, "forwarder", conn, msg, err)
 				continue
 			}
-			a.enqueue(t)
+			a.enqueue(v)
 		case transport.MsgTaskBatch:
-			ts, err := wire.DecodeTasks(msg.Payload)
+			vs, err := wire.ViewTasks(msg.Payload)
 			if err != nil {
+				transport.WarnUndecodable(a.log, "forwarder", conn, msg, err)
 				continue
 			}
-			for _, t := range ts {
-				a.enqueue(t)
+			for _, v := range vs {
+				a.enqueue(v)
 			}
 		case transport.MsgHeartbeat:
 			// Forwarder liveness: receipt is enough; our own
@@ -497,22 +501,15 @@ func (a *Agent) redial(lost transport.Conn) {
 }
 
 // enqueue accepts a task from upstream into the internal queue.
-func (a *Agent) enqueue(t *types.Task) {
-	if t.Attempt <= 0 {
-		t.Attempt = 1 // first execution attempt
-	}
+func (a *Agent) enqueue(v wire.TaskView) {
+	t := v.Head
 	a.mu.Lock()
 	a.received++
-	a.queue = append(a.queue, t)
-	a.inflight[t.ID] = &arrivedTask{task: t, arrived: time.Now()}
+	a.queue = append(a.queue, v)
+	a.inflight[t.ID] = &arrivedTask{traceID: traceIDOf(t), arrived: time.Now()}
 	a.mu.Unlock()
 	a.log.Debug("task received", "task_id", string(t.ID), "function_id", string(t.FunctionID), "attempt", t.Attempt, "trace_id", traceIDOf(t))
 	a.schedule()
-}
-
-// sendUpstream forwards a result to the forwarder if connected.
-func (a *Agent) sendUpstream(r *types.Result) {
-	a.enqueueUpstream(transport.Message{Type: transport.MsgResult, Payload: wire.EncodeResult(r)})
 }
 
 // outboxCap bounds the upstream outbox. A wedged-but-open service
@@ -627,7 +624,8 @@ func (a *Agent) watchdog(stalled bool) {
 	}
 	for _, m := range lost {
 		a.log.Warn("manager lost", "manager_id", string(m.id), "outstanding", len(m.outstanding))
-		for _, t := range m.outstanding {
+		for _, v := range m.outstanding {
+			t := v.Head
 			if t.AtMostOnce || (a.cfg.MaxAttempts > 0 && t.Attempt >= a.cfg.MaxAttempts) {
 				// Permanent failure: at-most-once tasks must never be
 				// re-executed after their manager is presumed dead (it
@@ -651,11 +649,13 @@ func (a *Agent) watchdog(stalled bool) {
 				a.log.Warn("task lost", "task_id", string(t.ID), "manager_id", string(m.id), "attempt", t.Attempt, "at_most_once", t.AtMostOnce, "trace_id", traceIDOf(t))
 				continue
 			}
-			t.Attempt++
+			// The one field the agent changes on a task: the frame it
+			// received says the old attempt, so this one is re-encoded.
+			v = v.WithAttempt(t.Attempt + 1)
 			a.requeued++
-			a.log.Debug("task requeued after manager loss", "task_id", string(t.ID), "manager_id", string(m.id), "attempt", t.Attempt, "trace_id", traceIDOf(t))
+			a.log.Debug("task requeued after manager loss", "task_id", string(t.ID), "manager_id", string(m.id), "attempt", v.Head.Attempt, "trace_id", traceIDOf(t))
 			// Head-of-queue so recovered tasks run first.
-			a.queue = append([]*types.Task{t}, a.queue...)
+			a.queue = append([]wire.TaskView{v}, a.queue...)
 		}
 	}
 	a.mu.Unlock()
@@ -699,7 +699,7 @@ func (a *Agent) manageConn(conn transport.Conn) {
 		id:          reg.ManagerID,
 		conn:        conn,
 		lastSeen:    time.Now(),
-		outstanding: make(map[types.TaskID]*types.Task),
+		outstanding: make(map[types.TaskID]wire.TaskView),
 	}
 	a.mu.Lock()
 	a.managers[reg.ManagerID] = st
@@ -727,6 +727,7 @@ func (a *Agent) manageConn(conn transport.Conn) {
 		case transport.MsgCapacity:
 			cap, err := wire.DecodeCapacity(msg.Payload)
 			if err != nil {
+				transport.WarnUndecodable(a.log, "manager", conn, msg, err)
 				continue
 			}
 			a.mu.Lock()
@@ -742,9 +743,10 @@ func (a *Agent) manageConn(conn transport.Conn) {
 		case transport.MsgResult:
 			res, err := wire.DecodeResult(msg.Payload)
 			if err != nil {
+				transport.WarnUndecodable(a.log, "manager", conn, msg, err)
 				continue
 			}
-			a.finish(st, res)
+			a.finish(st, res, msg.Payload)
 		}
 	}
 }
@@ -759,13 +761,15 @@ func (a *Agent) capacityBudget(c *types.Capacity) int {
 }
 
 // finish processes a result from a manager: stamps TE timing, clears
-// bookkeeping, forwards upstream.
-func (a *Agent) finish(st *managerState, res *types.Result) {
+// bookkeeping, forwards upstream. frame is the manager's encoding of
+// res, which Send handed over: the stamps go into it where it lies and
+// the same bytes travel on.
+func (a *Agent) finish(st *managerState, res *types.Result, frame []byte) {
 	var traceID string
 	a.mu.Lock()
 	delete(st.outstanding, res.TaskID)
 	if fl, ok := a.inflight[res.TaskID]; ok {
-		traceID = traceIDOf(fl.task)
+		traceID = fl.traceID
 		delete(a.inflight, res.TaskID)
 		// TE: time inside the endpoint excluding execution (§5.1).
 		te := time.Since(fl.arrived) - res.Timing.TW
@@ -786,7 +790,7 @@ func (a *Agent) finish(st *managerState, res *types.Result) {
 	a.completed++
 	a.mu.Unlock()
 	a.log.Debug("task completed", "task_id", string(res.TaskID), "manager_id", string(st.id), "failed", res.Err != "", "trace_id", traceID)
-	a.sendUpstream(res)
+	a.enqueueUpstream(transport.Message{Type: transport.MsgResult, Payload: wire.RestampResult(frame, res)})
 }
 
 // schedule drains the internal queue onto managers using the greedy
@@ -796,16 +800,18 @@ func (a *Agent) finish(st *managerState, res *types.Result) {
 func (a *Agent) schedule() {
 	type dispatch struct {
 		st    *managerState
-		tasks []*types.Task
+		tasks []wire.TaskView
 	}
 	var plan []dispatch
 
 	a.mu.Lock()
 	byManager := make(map[types.ManagerID]*dispatch)
 	var order []types.ManagerID
-	var remaining []*types.Task
+	// What stays queued is compacted in place: a deep queue is walked
+	// on every arrival, and must not be copied on every arrival too.
+	remaining := a.queue[:0]
 	for _, t := range a.queue {
-		st := a.pickManagerLocked(t)
+		st := a.pickManagerLocked(t.Head)
 		if st == nil {
 			remaining = append(remaining, t)
 			continue
@@ -814,7 +820,7 @@ func (a *Agent) schedule() {
 		if !a.cfg.BatchDispatch {
 			st.awaitingAdvert = true
 		}
-		st.outstanding[t.ID] = t
+		st.outstanding[t.Head.ID] = t
 		d := byManager[st.id]
 		if d == nil {
 			d = &dispatch{st: st}
@@ -823,6 +829,7 @@ func (a *Agent) schedule() {
 		}
 		d.tasks = append(d.tasks, t)
 	}
+	clear(a.queue[len(remaining):]) // let go of the frames that left
 	a.queue = remaining
 	for _, id := range order {
 		plan = append(plan, *byManager[id])
@@ -830,18 +837,23 @@ func (a *Agent) schedule() {
 	a.mu.Unlock()
 
 	for _, d := range plan {
-		var err error
-		if len(d.tasks) == 1 {
-			err = d.st.conn.Send(transport.Message{Type: transport.MsgTask, Payload: wire.EncodeTask(d.tasks[0])})
-		} else {
-			err = d.st.conn.Send(transport.Message{Type: transport.MsgTaskBatch, Payload: wire.EncodeTasks(d.tasks)})
+		// Each task leaves as the frame it arrived in; a batch is those
+		// frames joined.
+		msg := transport.Message{Type: transport.MsgTask, Payload: d.tasks[0].Raw}
+		if len(d.tasks) > 1 {
+			var room [16][]byte // a manager's advertised capacity is a few tasks
+			frames := room[:0]
+			for _, t := range d.tasks {
+				frames = append(frames, t.Raw)
+			}
+			msg = transport.Message{Type: transport.MsgTaskBatch, Payload: wire.JoinTasks(frames)}
 		}
-		if err != nil {
+		if err := d.st.conn.Send(msg); err != nil {
 			// Manager connection failed mid-dispatch: requeue; the
 			// watchdog will clean up the manager itself.
 			a.mu.Lock()
 			for _, t := range d.tasks {
-				delete(d.st.outstanding, t.ID)
+				delete(d.st.outstanding, t.Head.ID)
 				a.queue = append(a.queue, t)
 			}
 			a.mu.Unlock()

@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"funcx/internal/fx"
 	"funcx/internal/manager"
 	"funcx/internal/serial"
+	"funcx/internal/testlog"
 	"funcx/internal/transport"
 	"funcx/internal/types"
 	"funcx/internal/wire"
@@ -128,7 +130,7 @@ func newAgentWithManagers(t *testing.T, ff *fakeForwarder, cfg Config, n, worker
 
 func sendTask(t *testing.T, ff *fakeForwarder, id types.TaskID, bodyHash string, payload []byte) {
 	t.Helper()
-	task := &types.Task{ID: id, BodyHash: bodyHash, Payload: payload}
+	task := &types.Task{ID: id, BodyHash: bodyHash, Payload: payload, Attempt: 1} // as the service stamps it
 	if err := ff.conn.Send(transport.Message{Type: transport.MsgTask, Payload: wire.EncodeTask(task)}); err != nil {
 		t.Fatal(err)
 	}
@@ -375,6 +377,62 @@ func TestSchedulingPoliciesComplete(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A frame that does not decode, from the forwarder (a task, a batch) or
+// from a manager (a result), is dropped with a warning that says who
+// sent what, and both loops keep serving the frames behind it.
+func TestAgentWarnsOnUndecodableFrames(t *testing.T) {
+	logger, logs := testlog.New()
+	ff := newFakeForwarder(t)
+	a, _, _ := newAgentWithManagers(t, ff, Config{BatchDispatch: true, Logger: logger}, 0, 0)
+
+	// A manager of the test's own, so that it can send a corrupt result.
+	network, addr := a.ManagerAddr()
+	mgr, err := transport.Dial(network, addr, "mgr-fake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	send := func(conn transport.Conn, typ transport.MsgType, payload []byte) {
+		t.Helper()
+		if err := conn.Send(transport.Message{Type: typ, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(mgr, transport.MsgRegister, wire.EncodeRegistration(&wire.Registration{ManagerID: "mgr-fake"}))
+	send(mgr, transport.MsgResult, []byte("junk"))
+	send(mgr, transport.MsgCapacity, wire.EncodeCapacity(&types.Capacity{ManagerID: "mgr-fake", Slots: 1, Total: 1}))
+
+	good := wire.EncodeTask(&types.Task{ID: "t1", Attempt: 1})
+	send(ff.conn, transport.MsgTask, good[:len(good)-1])
+	send(ff.conn, transport.MsgTaskBatch, []byte{0x02, 0xff})
+	send(ff.conn, transport.MsgTask, good)
+
+	// The task behind the corrupt frames reaches the manager behind the
+	// corrupt result, as the bytes the forwarder sent.
+	msg, err := mgr.Recv(5 * time.Second)
+	if err != nil || msg.Type != transport.MsgTask || string(msg.Payload) != string(good) {
+		t.Fatalf("manager received %+v, %v; want the task frame as sent", msg, err)
+	}
+	send(mgr, transport.MsgResult, wire.EncodeResult(&types.Result{TaskID: "t1", Timing: types.Timing{TW: time.Millisecond}}))
+	if res := ff.waitResult(t, 5*time.Second); res.TaskID != "t1" {
+		t.Fatalf("result = %+v", res)
+	}
+
+	out := logs.String()
+	for _, want := range []string{
+		"level=WARN", "dropping undecodable frame", "endpoint_id=ep-1", "malformed frame",
+		"peer=forwarder", "msg_type=TASK ", "msg_type=TASK_BATCH", "bytes=2",
+		"peer=manager", "peer_id=mgr-fake", "msg_type=RESULT", "bytes=4",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("log lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "dropping undecodable frame"); n != 3 {
+		t.Fatalf("%d warnings for 3 corrupt frames:\n%s", n, out)
 	}
 }
 

@@ -15,6 +15,7 @@ package forwarder
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -57,11 +58,13 @@ type Config struct {
 	// Lat optionally injects WAN latency per dispatched message
 	// (Table 1 / Figure 4 experiments).
 	Lat *netlat.Link
-	// OnResult receives every result the agent returns, TF timing
-	// stamped and its reliable-queue receipt acknowledged (the service
-	// stamps TS, feeds the memoization cache, and lands the result in
-	// the task's record here).
-	OnResult func(*types.Result)
+	// OnResult receives every result the agent returns, its
+	// reliable-queue receipt acknowledged: the decoded result with TF
+	// stamped, beside the frame it arrived in, which does not have that
+	// stamp yet and now belongs to the receiver (the service adds TS,
+	// writes both into the frame with wire.RestampResult, feeds the
+	// memoization cache, and lands the frame in the task's record).
+	OnResult func(res *types.Result, frame []byte)
 	// OnDispatched, when set, fires after a task is shipped to the
 	// connected agent (the service advances the task's lifecycle
 	// status and publishes the "dispatched" event here). Redeliveries
@@ -88,11 +91,15 @@ type Config struct {
 	// tasks each dispatch cycle until the agent reconnects, so tasks
 	// requeued after a partial dispatch are offered too.
 	OnOrphaned func(*types.Task) bool
+	// Logger receives the forwarder's structured logs, each carrying the
+	// endpoint id. Nil means slog.Default().
+	Logger *slog.Logger
 }
 
 // Forwarder relays tasks and results for one endpoint.
 type Forwarder struct {
 	cfg Config
+	log *slog.Logger
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -176,8 +183,13 @@ func New(cfg Config) *Forwarder {
 	if cfg.DispatchLease <= 0 {
 		cfg.DispatchLease = 4 * time.Duration(cfg.HeartbeatMisses) * cfg.HeartbeatPeriod
 	}
+	logger := cfg.Logger
+	if logger == nil {
+		logger = slog.Default()
+	}
 	return &Forwarder{
 		cfg:      cfg,
+		log:      logger.With("endpoint_id", string(cfg.EndpointID)),
 		attached: make(chan struct{}, 1),
 		leases:   make(map[types.TaskID]*lease),
 		tfStart:  make(map[types.TaskID]time.Duration),
@@ -366,6 +378,7 @@ func (f *Forwarder) handleAgent(conn transport.Conn) {
 		case transport.MsgRunning:
 			start, err := wire.DecodeTaskStart(msg.Payload)
 			if err != nil {
+				transport.WarnUndecodable(f.log, "agent", conn, msg, err)
 				continue
 			}
 			f.mu.Lock()
@@ -389,9 +402,10 @@ func (f *Forwarder) handleAgent(conn transport.Conn) {
 		case transport.MsgResult:
 			res, err := wire.DecodeResult(msg.Payload)
 			if err != nil {
+				transport.WarnUndecodable(f.log, "agent", conn, msg, err)
 				continue
 			}
-			f.storeResult(res)
+			f.storeResult(res, msg.Payload)
 		}
 	}
 }
@@ -656,8 +670,9 @@ func (f *Forwarder) offloadOrphans() {
 }
 
 // storeResult records a completed task: acknowledges the reliable
-// queue, stamps TF timing, and hands the result to the service.
-func (f *Forwarder) storeResult(res *types.Result) {
+// queue, stamps TF timing, and hands the result and the frame it came
+// in to the service.
+func (f *Forwarder) storeResult(res *types.Result, frame []byte) {
 	start := time.Now()
 	f.mu.Lock()
 	f.lastProgress = start
@@ -682,7 +697,7 @@ func (f *Forwarder) storeResult(res *types.Result) {
 	}
 	res.Timing.TF += time.Since(start)
 	if f.cfg.OnResult != nil {
-		f.cfg.OnResult(res)
+		f.cfg.OnResult(res, frame)
 	}
 }
 

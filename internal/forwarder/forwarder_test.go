@@ -3,10 +3,12 @@ package forwarder
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"funcx/internal/store"
+	"funcx/internal/testlog"
 	"funcx/internal/transport"
 	"funcx/internal/types"
 	"funcx/internal/wire"
@@ -17,6 +19,7 @@ type testHarness struct {
 	fwd     *Forwarder
 	queue   *store.Queue
 	results chan *types.Result // what OnResult received, unless the test set its own
+	frames  chan []byte        // and the frame beside each
 	network string
 	addr    string
 }
@@ -26,12 +29,13 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 	h := &testHarness{
 		queue:   store.NewQueue(),
 		results: make(chan *types.Result, 16), // more than any test here sends
+		frames:  make(chan []byte, 16),
 	}
 	cfg.EndpointID = "ep-1"
 	cfg.Network = "inproc"
 	cfg.TaskQueue = h.queue
 	if cfg.OnResult == nil {
-		cfg.OnResult = func(r *types.Result) { h.results <- r }
+		cfg.OnResult = func(r *types.Result, frame []byte) { h.frames <- frame; h.results <- r }
 	}
 	if cfg.HeartbeatPeriod == 0 {
 		cfg.HeartbeatPeriod = 40 * time.Millisecond
@@ -117,12 +121,23 @@ func TestResultStoredAndAcked(t *testing.T) {
 		t.Fatalf("Outstanding = %d", h.fwd.Outstanding())
 	}
 	res := &types.Result{TaskID: "t1", Output: []byte("out"), Timing: types.Timing{TW: time.Millisecond}}
-	conn.Send(transport.Message{Type: transport.MsgResult, Payload: wire.EncodeResult(res)}) //nolint:errcheck
+	sent := wire.EncodeResult(res)
+	conn.Send(transport.Message{Type: transport.MsgResult, Payload: sent}) //nolint:errcheck
 
 	select {
 	case got := <-h.results:
-		if string(got.Output) != "out" || got.Timing.TW != time.Millisecond {
+		if string(got.Output) != "out" || got.Timing.TW != time.Millisecond || got.Timing.TF <= 0 {
 			t.Fatalf("OnResult got %+v", got)
+		}
+		// The frame beside it is the one the agent sent, not a copy: the
+		// receiver writes TF into it where it lies.
+		frame := <-h.frames
+		if &frame[0] != &sent[0] {
+			t.Fatal("OnResult got a copy of the frame the agent sent")
+		}
+		out := wire.RestampResult(frame, got)
+		if stamped, err := wire.DecodeResult(out); err != nil || stamped.Timing != got.Timing || &out[0] != &sent[0] {
+			t.Fatalf("restamped frame = %+v, %v; want timing %+v written in place", stamped, err, got.Timing)
 		}
 		// The sink runs after the lease is released and the receipt acked.
 		if h.fwd.Outstanding() != 0 {
@@ -133,6 +148,51 @@ func TestResultStoredAndAcked(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("result never reached OnResult")
+	}
+}
+
+// A frame from the agent that does not decode — here a corrupt result,
+// a result in the layout of an older endpoint build, and a corrupt
+// running signal — is dropped with a warning that says who sent what and
+// why, and the forwarder keeps serving the frames behind it.
+func TestWarnsOnUndecodableFrames(t *testing.T) {
+	logger, logs := testlog.New()
+	h := newHarness(t, Config{Logger: logger})
+	conn := h.connectAgent(t, "")
+	pushTask(t, h.queue, "t1")
+	recvType(t, conn, transport.MsgTask, 2*time.Second)
+
+	good := wire.EncodeResult(&types.Result{TaskID: "t1", Output: []byte("out"), Timing: types.Timing{TW: time.Millisecond}})
+	old := append([]byte{0x03}, good[1:]...) // the result format byte before fixed-width stamps
+	for _, msg := range []transport.Message{
+		{Type: transport.MsgResult, Payload: good[:len(good)-1]},
+		{Type: transport.MsgResult, Payload: old},
+		{Type: transport.MsgRunning, Payload: []byte("junk")},
+		{Type: transport.MsgResult, Payload: good},
+	} {
+		if err := conn.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case got := <-h.results:
+		if got.TaskID != "t1" || string(got.Output) != "out" {
+			t.Fatalf("result after the corrupt frames = %+v", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the forwarder stopped serving after a corrupt frame")
+	}
+	out := logs.String()
+	for _, want := range []string{
+		"level=WARN", "dropping undecodable frame", "endpoint_id=ep-1", "peer=agent", "peer_id=ep-1",
+		"msg_type=RESULT", "msg_type=RUNNING", "bytes=4", "malformed frame", wire.ErrLegacyResult.Error(),
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("log lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "dropping undecodable frame"); n != 3 {
+		t.Fatalf("%d warnings for 3 corrupt frames:\n%s", n, out)
 	}
 }
 

@@ -11,6 +11,7 @@ package manager
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -46,12 +47,16 @@ type Config struct {
 	Runtime *fx.Runtime
 	// Containers is the node-local container runtime.
 	Containers *container.Runtime
+	// Logger receives the manager's structured logs, each carrying the
+	// manager id. Nil means slog.Default().
+	Logger *slog.Logger
 }
 
 // Manager runs the node-side of the funcX agent protocol.
 type Manager struct {
 	cfg  Config
 	id   types.ManagerID
+	log  *slog.Logger
 	conn transport.Conn
 
 	ctx    context.Context
@@ -95,9 +100,14 @@ func New(cfg Config) *Manager {
 	if cfg.Containers == nil {
 		cfg.Containers = container.NewRuntime(container.Config{System: "local"})
 	}
+	logger := cfg.Logger
+	if logger == nil {
+		logger = slog.Default()
+	}
 	return &Manager{
 		cfg:          cfg,
 		id:           cfg.ID,
+		log:          logger.With("manager_id", string(cfg.ID)),
 		workers:      make(map[types.WorkerID]*worker.Worker),
 		results:      make(chan worker.Outcome, cfg.MaxWorkers*2+8),
 		traceArrived: make(map[types.TaskID]time.Time),
@@ -222,12 +232,14 @@ func (m *Manager) recvLoop() {
 		case transport.MsgTask:
 			t, err := wire.DecodeTask(msg.Payload)
 			if err != nil {
+				transport.WarnUndecodable(m.log, "agent", m.conn, msg, err)
 				continue
 			}
 			m.accept(t)
 		case transport.MsgTaskBatch:
 			ts, err := wire.DecodeTasks(msg.Payload)
 			if err != nil {
+				transport.WarnUndecodable(m.log, "agent", m.conn, msg, err)
 				continue
 			}
 			for _, t := range ts {

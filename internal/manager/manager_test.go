@@ -2,12 +2,15 @@ package manager
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"funcx/internal/container"
 	"funcx/internal/fx"
 	"funcx/internal/serial"
+	"funcx/internal/testlog"
 	"funcx/internal/transport"
 	"funcx/internal/types"
 	"funcx/internal/wire"
@@ -129,6 +132,44 @@ func TestManagerExecutesTaskAndReturnsResult(t *testing.T) {
 	}
 	if string(res.Output) != string(payload) {
 		t.Fatalf("echo output = %q", res.Output)
+	}
+}
+
+// A frame that does not decode — an agent from another build, a corrupt
+// link — is dropped with a warning that says who sent what, and the
+// manager keeps serving the frames behind it.
+func TestManagerWarnsOnUndecodableFrames(t *testing.T) {
+	logger, logs := testlog.New()
+	fa := newFakeAgent(t)
+	newTestManager(t, fa, Config{ID: "mgr-1", MaxWorkers: 2, Logger: logger})
+	fa.expect(t, transport.MsgRegister, 2*time.Second)
+
+	payload, _ := serial.Serialize("hello")
+	good := wire.EncodeTask(&types.Task{ID: "t1", BodyHash: echoHash(), Payload: payload})
+	for _, msg := range []transport.Message{
+		{Type: transport.MsgTask, Payload: good[:len(good)-1]},
+		{Type: transport.MsgTaskBatch, Payload: []byte{0x02, 0xff}},
+		{Type: transport.MsgTask, Payload: good},
+	} {
+		if err := fa.conn.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msg := fa.expect(t, transport.MsgResult, 5*time.Second)
+	if res, err := wire.DecodeResult(msg.Payload); err != nil || res.TaskID != "t1" || res.Failed() {
+		t.Fatalf("result after the corrupt frames = %+v, %v", res, err)
+	}
+	out := logs.String()
+	for _, want := range []string{
+		"level=WARN", "dropping undecodable frame", "manager_id=mgr-1", "peer=agent",
+		"msg_type=TASK ", "bytes=" + fmt.Sprint(len(good)-1), "msg_type=TASK_BATCH", "bytes=2", "malformed frame",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("log lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "dropping undecodable frame"); n != 2 {
+		t.Fatalf("%d warnings for 2 corrupt frames:\n%s", n, out)
 	}
 }
 

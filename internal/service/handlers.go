@@ -179,7 +179,7 @@ const bodySlack = 1 << 20
 // parsed once; anything after the JSON value is an error.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any, tasks int) bool {
 	perTask := int64(base64.StdEncoding.EncodedLen(max(s.cfg.MaxPayloadSize, 0)) + bodySlack)
-	data, ok := s.readBody(w, r, nil, int64(tasks)*perTask, perTask)
+	data, ok := s.readBody(w, r, 0, nil, int64(tasks)*perTask, perTask)
 	if !ok {
 		return false
 	}
@@ -190,12 +190,18 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any, task
 	return true
 }
 
+// frontRoom is the spare bytes readSubmitFrame asks readBody to leave
+// ahead of a body.
+var frontRoom [wire.HeaderRoom]byte
+
 // readBody reads a request body of at most limit bytes (any length
 // when Config.MaxPayloadSize is negative) into one buffer sized from
-// Content-Length, which is trusted for no more than trust bytes. head
+// Content-Length, which is trusted for no more than trust bytes (a
+// longer or undeclared body grows its buffer as it arrives). head
 // is what the caller has taken off the body already; it counts against
-// limit and opens the buffer.
-func (s *Service) readBody(w http.ResponseWriter, r *http.Request, head []byte, limit, trust int64) ([]byte, bool) {
+// limit and opens the body, which starts room spare bytes into the
+// buffer returned.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request, room int, head []byte, limit, trust int64) ([]byte, bool) {
 	body := r.Body
 	if s.cfg.MaxPayloadSize >= 0 {
 		if r.ContentLength > limit {
@@ -204,11 +210,24 @@ func (s *Service) readBody(w http.ResponseWriter, r *http.Request, head []byte, 
 		}
 		body = http.MaxBytesReader(w, body, limit-int64(len(head)))
 	}
+	if n := r.ContentLength; n >= int64(len(head)) && n <= trust {
+		// A declared length small enough to believe: one buffer of
+		// exactly that size, with no slack for a submission's record to
+		// hold on to for the life of its task.
+		exact := make([]byte, room+int(n))
+		copy(exact[room:], head)
+		if _, err := io.ReadFull(body, exact[room+len(head):]); err != nil {
+			writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "reading request: " + err.Error()})
+			return nil, false
+		}
+		return exact, true
+	}
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
 		// MinRead spare bytes let ReadFrom see EOF without growing.
-		buf.Grow(int(min(r.ContentLength, trust)) + bytes.MinRead)
+		buf.Grow(room + int(trust) + bytes.MinRead)
 	}
+	buf.Write(frontRoom[:room])
 	buf.Write(head)
 	if _, err := buf.ReadFrom(body); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -227,8 +246,11 @@ func (s *Service) readBody(w http.ResponseWriter, r *http.Request, head []byte, 
 // maxWaitBatch of them. Payloads are not expanded in a frame, so a
 // submission may take Config.MaxPayloadSize plus bodySlack, and a batch
 // as many times that as the JSON batch gets; which of the two bounds
-// holds is decided by the format byte, read ahead of the rest.
-func (s *Service) readSubmitFrame(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// holds is decided by the format byte, read ahead of the rest. data is
+// the frame; buf is the buffer it ends, which starts wire.HeaderRoom
+// bytes ahead of it so that place can write the one submission of a
+// single frame out as a task where it lies (wire.EncodeTaskInto).
+func (s *Service) readSubmitFrame(w http.ResponseWriter, r *http.Request) (buf, data []byte, ok bool) {
 	perTask := int64(max(s.cfg.MaxPayloadSize, 0) + bodySlack)
 	var format [1]byte
 	n, _ := io.ReadFull(r.Body, format[:]) // an empty or failing body is read again, and reported, below
@@ -236,7 +258,10 @@ func (s *Service) readSubmitFrame(w http.ResponseWriter, r *http.Request) ([]byt
 	if wire.IsTaskBatch(format[:n]) {
 		limit *= maxWaitBatch
 	}
-	return s.readBody(w, r, format[:n], limit, perTask)
+	if buf, ok = s.readBody(w, r, len(frontRoom), format[:n], limit, perTask); !ok {
+		return nil, nil, false
+	}
+	return buf, buf[len(frontRoom):], true
 }
 
 func claimsOf(r *http.Request) *auth.Claims {
@@ -435,12 +460,13 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, resp)
 		return
 	}
-	s.answerSubmit(w, r, req)
+	s.answerSubmit(w, r, req, nil)
 }
 
-// answerSubmit places req and answers r with what became of it.
-func (s *Service) answerSubmit(w http.ResponseWriter, r *http.Request, req api.SubmitRequest) {
-	resp, err := s.submitOne(r, req)
+// answerSubmit places req and answers r with what became of it. body
+// is what submitOne takes.
+func (s *Service) answerSubmit(w http.ResponseWriter, r *http.Request, req api.SubmitRequest, body []byte) {
+	resp, err := s.submitOne(r, req, body)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -449,9 +475,17 @@ func (s *Service) answerSubmit(w http.ResponseWriter, r *http.Request, req api.S
 }
 
 // submitOne places one submission of r, stamped with r's arrival time
-// and this shard's identity.
-func (s *Service) submitOne(r *http.Request, req api.SubmitRequest) (api.SubmitResponse, error) {
-	id, epID, memoized, err := s.SubmitTaskAt(claimsOf(r).Subject, submissionOf(req), arrivalOf(r))
+// and this shard's identity. A non-nil body is the buffer
+// readSubmitFrame returned for a frame holding req alone: it is given
+// up to become the task's frame, and nothing may read it afterwards.
+func (s *Service) submitOne(r *http.Request, req api.SubmitRequest, body []byte) (api.SubmitResponse, error) {
+	owner := claimsOf(r).Subject
+	p, err := s.prepare(owner, submissionOf(req))
+	if err != nil {
+		return api.SubmitResponse{}, err
+	}
+	p.body = body
+	id, epID, memoized, err := s.place(owner, p, arrivalOf(r))
 	if err != nil {
 		return api.SubmitResponse{}, err
 	}
@@ -468,7 +502,7 @@ func (s *Service) submitOne(r *http.Request, req api.SubmitRequest) (api.SubmitR
 // would have been and answered with its own outcome: one that is
 // refused leaves the rest alone.
 func (s *Service) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.readSubmitFrame(w, r)
+	buf, data, ok := s.readSubmitFrame(w, r)
 	if !ok {
 		return
 	}
@@ -490,12 +524,12 @@ func (s *Service) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if batch == nil {
-		s.answerSubmit(w, r, first)
+		s.answerSubmit(w, r, first, buf)
 		return
 	}
 	outcomes := make([]api.SubmitOutcome, len(batch))
 	for i, req := range batch {
-		resp, err := s.submitOne(r, req)
+		resp, err := s.submitOne(r, req, nil) // a shared body: each entry's payload is copied out of it
 		if err != nil {
 			outcomes[i] = api.SubmitOutcome{Status: errorStatus(err), Error: err.Error()}
 			continue

@@ -15,6 +15,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -102,6 +103,21 @@ func (s *Service) recoverRuntime() error {
 			return fmt.Errorf("service: data dir %s is not readable by this build: hash %q holds %d task records from before the task table",
 				s.cfg.DataDir, name, n)
 		}
+	}
+
+	// Likewise a result landed by a build whose result frames had
+	// another layout: every reader of it would fail one task at a time.
+	var legacy error
+	s.tasks.Range(func(id types.TaskID, rec taskrec.Record) {
+		if legacy != nil || len(rec.Result()) == 0 {
+			return
+		}
+		if _, err := wire.DecodeResult(rec.Result()); errors.Is(err, wire.ErrLegacyResult) {
+			legacy = fmt.Errorf("service: data dir %s is not readable by this build: the result of task %s: %w", s.cfg.DataDir, id, err)
+		}
+	})
+	if legacy != nil {
+		return legacy
 	}
 
 	// Dependency graphs first: recoverDAGs rebuilds the graph tables

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -10,6 +11,9 @@ import (
 
 	"funcx/internal/api"
 	"funcx/internal/auth"
+	"funcx/internal/taskrec"
+	"funcx/internal/types"
+	"funcx/internal/wire"
 )
 
 // TestReattachAfterRecovery drives the operator story the reattach
@@ -103,5 +107,32 @@ func TestRecoveryRefusesPreTableHashes(t *testing.T) {
 		if !strings.Contains(err.Error(), strconv.Quote(name)) {
 			t.Fatalf("reopen error = %v, want one naming hash %q", err, name)
 		}
+	}
+}
+
+// A result landed by a build whose result frames had varint stamps is
+// in a layout no decoder here reads: the boot must stop and say so,
+// not come up with results that fail one reader at a time.
+func TestRecoveryRefusesLegacyResultLayout(t *testing.T) {
+	cfg := Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: t.TempDir()}
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	current := wire.EncodeResult(&types.Result{TaskID: "t1", Output: []byte("out")})
+	legacy := append([]byte{0x03}, current[1:]...) // the result format byte of those builds
+	svc.apply(taskrec.Event{Kind: taskrec.Place, ID: "t1", Owner: "alice", Endpoint: "ep", Attempt: 1, Frame: wire.EncodeTask(&types.Task{ID: "t1"})})
+	if _, ok := svc.apply(taskrec.Event{Kind: taskrec.Result, ID: "t1", Status: types.TaskSuccess, Frame: legacy}); !ok {
+		t.Fatal("landing the result did not apply")
+	}
+	svc.Close()
+
+	svc, err = Open(cfg)
+	if err == nil {
+		svc.Close()
+		t.Fatal("reopen over a result in the previous layout succeeded")
+	}
+	if !errors.Is(err, wire.ErrLegacyResult) || !strings.Contains(err.Error(), "t1") {
+		t.Fatalf("reopen error = %v, want wire.ErrLegacyResult naming task t1", err)
 	}
 }

@@ -612,6 +612,7 @@ func (s *Service) startForwarder(epID types.EndpointID) (*forwarder.Forwarder, e
 		OnRunning:       func(id types.TaskID) { s.onRunning(id, epID) },
 		OnOrphaned:      s.failover,
 		OnReclaim:       s.reclaim,
+		Logger:          s.log,
 	})
 	if err := fwd.Start(s.ctx); err != nil {
 		return nil, err
@@ -1070,6 +1071,11 @@ type preparedSubmission struct {
 	// prefer asks group routing to favor this member when live —
 	// DAG children lean toward the endpoint holding their inputs.
 	prefer types.EndpointID
+	// body, when set, is the request body sub.Payload is the tail of,
+	// with spare room in front, handed over by the handler of a
+	// single-frame POST /v1/tasks: place writes the task frame into it
+	// instead of copying the payload into a new one.
+	body []byte
 }
 
 // prepare performs all fallible validation of one submission — payload
@@ -1213,12 +1219,15 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 
 	// Create the task's record and enqueue it for the endpoint, encoding
 	// once and sharing the bytes between record and queue (the encode
-	// dominated the submit hot path when paid twice). Both consumers
-	// only read the buffer. The record exists, and its "queued" event is
-	// on the stream, *before* the enqueue: the instant the task is
-	// poppable its dispatched and terminal events can land, and they
-	// must find the owner and never show ahead of "queued".
-	data := wire.EncodeTask(task)
+	// dominated the submit hot path when paid twice) — and, from there,
+	// with every hop down to the worker, none of which writes to them.
+	// A submission that arrived as one frame is encoded in the body it
+	// arrived in, its payload left where it is. The record exists, and
+	// its "queued" event is on the stream, *before* the enqueue: the
+	// instant the task is poppable its dispatched and terminal events
+	// can land, and they must find the owner and never show ahead of
+	// "queued".
+	data := wire.EncodeTaskInto(p.body, task)
 	kind := taskrec.Place
 	if p.id != "" {
 		kind = taskrec.Release // a DAG node: its record was held at graph submission
@@ -1249,10 +1258,11 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 }
 
 // onResult is the forwarder's result sink: it stamps the TS component,
-// feeds the memo cache, and lands the result in the task's record.
-// A redelivery's duplicate, or a result for a task this shard no
-// longer holds, is dropped.
-func (s *Service) onResult(res *types.Result) {
+// feeds the memo cache, and lands the result in the task's record as
+// the frame it arrived in, the service-side stamps written into it
+// before the record makes it visible. A redelivery's duplicate, or a
+// result for a task this shard no longer holds, is dropped.
+func (s *Service) onResult(res *types.Result, frame []byte) {
 	rec, ok := s.tasks.Get(res.TaskID)
 	if !ok || rec.Status().Terminal() {
 		return
@@ -1267,7 +1277,7 @@ func (s *Service) onResult(res *types.Result) {
 	}
 	s.land(taskrec.Event{
 		Kind: taskrec.Result, ID: res.TaskID, Status: terminalStatusOf(res),
-		Frame: wire.EncodeResult(res), At: time.Now(),
+		Frame: wire.RestampResult(frame, res), At: time.Now(),
 	})
 }
 

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -232,7 +234,8 @@ func TestBatchSubmit(t *testing.T) {
 // service's sink (landing it publishes the terminal event and wakes
 // waiters).
 func completeTask(svc *Service, id types.TaskID, output []byte) {
-	svc.onResult(&types.Result{TaskID: id, Output: output, Completed: time.Now()})
+	res := &types.Result{TaskID: id, Output: output, Completed: time.Now()}
+	svc.onResult(res, wire.EncodeResult(res))
 }
 
 // A submission whose enqueue fails is reported failed and leaves no
@@ -501,6 +504,76 @@ func TestSubmitFrameStoresTheSameTask(t *testing.T) {
 	}
 	if !bytes.Equal(stored[0].Payload, sub.Payload) || !stored[0].Memoize || stored[0].Walltime != time.Minute {
 		t.Fatalf("stored task lost the submission: %+v", stored[0])
+	}
+}
+
+// A submission that arrives as one frame becomes the task's frame in
+// the body it arrived in: the request costs the payload-sized
+// allocation that read it and not a second one, and the service's
+// stamps do not touch the payload. Entries of a batch frame share a
+// body and are copied out.
+func TestSubmitFrameIsStampedInItsBody(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	payload := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(payload)
+	sub := &api.SubmitRequest{FunctionID: fnID, EndpointID: epID, Payload: payload, Walltime: time.Minute}
+
+	post := func(body []byte) []byte {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/tasks", bytes.NewReader(body))
+		req.Header.Set("Authorization", "Bearer "+token)
+		req.Header.Set("Content-Type", api.FrameMediaType)
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted && rec.Code != http.StatusOK {
+			t.Fatalf("submit = %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	stored := func(id types.TaskID) *types.Task {
+		t.Helper()
+		rec, _ := svc.tasks.Get(id)
+		task, err := wire.DecodeTask(rec.Task())
+		if err != nil {
+			t.Fatalf("task %s: %v", id, err)
+		}
+		return task
+	}
+	// The same submission as a batch of one is the control: it reads
+	// the same body and then copies the payload out, as every
+	// submission did before.
+	perRequest := func(body []byte) uint64 {
+		const n = 16
+		post(body)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			post(body)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	frame := api.EncodeSubmitFrame(sub)
+	if single, copied := perRequest(frame), perRequest(batchFrame(sub)); single+uint64(len(payload)) > copied {
+		t.Fatalf("%d bytes allocated per 64 KiB submission, %d for one that copies its payload: the frame was not stamped in its body", single, copied)
+	}
+	var resp api.SubmitResponse
+	if err := json.Unmarshal(post(frame), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if task := stored(resp.TaskID); !bytes.Equal(task.Payload, payload) || task.ID != resp.TaskID || task.Owner != "alice" ||
+		task.Attempt != 1 || task.Walltime != time.Minute || task.FunctionID != fnID || task.EndpointID != epID || task.BodyHash == "" {
+		t.Fatalf("stored task = %+v (payload intact: %v)", task, bytes.Equal(task.Payload, payload))
+	}
+
+	other := bytes.Repeat([]byte{0x5a}, len(payload))
+	var batch api.SubmitBatchResponse
+	if err := json.Unmarshal(post(batchFrame(sub, &api.SubmitRequest{FunctionID: fnID, EndpointID: epID, Payload: other})), &batch); err != nil || len(batch.Outcomes) != 2 {
+		t.Fatalf("batch = %+v, %v", batch, err)
+	}
+	if a, b := stored(batch.Outcomes[0].TaskID), stored(batch.Outcomes[1].TaskID); !bytes.Equal(a.Payload, payload) || !bytes.Equal(b.Payload, other) {
+		t.Fatal("a batch frame's entries did not keep their own payloads")
 	}
 }
 

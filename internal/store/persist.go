@@ -13,6 +13,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -195,8 +196,8 @@ func (s *Store) stopSnapshotter() {
 //
 //	opcode byte, then length-prefixed strings/bytes and uvarints.
 //
-// Hash expiries are journaled as absolute unix-nano deadlines (0 =
-// none) so replay at a later wall-clock time re-expires naturally.
+// A hash set ends in a zero uvarint where builds that had hash TTLs
+// journaled the field's deadline; a record that carries one is refused.
 // ---------------------------------------------------------------------
 
 const (
@@ -257,18 +258,19 @@ func (r *opReader) bytes() []byte {
 
 func (r *opReader) string() string { return string(r.bytes()) }
 
-func encodeHSet(name, field string, value []byte, expiry time.Time) []byte {
+func encodeHSet(name, field string, value []byte) []byte {
 	b := make([]byte, 0, 1+len(name)+len(field)+len(value)+24)
 	b = append(b, opHSet)
 	b = appendString(b, name)
 	b = appendString(b, field)
 	b = appendBytes(b, value)
-	var nanos uint64
-	if !expiry.IsZero() {
-		nanos = uint64(expiry.UnixNano())
-	}
-	return binary.AppendUvarint(b, nanos)
+	return append(b, 0) // no deadline
 }
+
+// errHashDeadline refuses a journaled or snapshotted hash field that
+// expires: hashes have had no TTL since the task table took over the
+// results, and a field replayed without its deadline would never go.
+var errHashDeadline = errors.New("hash field with a deadline: written by a build that had hash TTLs")
 
 func encodeHDel(name, field string) []byte {
 	b := make([]byte, 0, 1+len(name)+len(field)+8)
@@ -314,17 +316,14 @@ func (s *Store) applyRecord(rec []byte) error {
 	switch rec[0] {
 	case opHSet:
 		name, field, value := r.string(), r.string(), r.bytes()
-		nanos := r.uvarint()
+		deadline := r.uvarint()
 		if r.err != nil {
 			return r.err
 		}
-		var expiry time.Time
-		if nanos != 0 {
-			expiry = time.Unix(0, int64(nanos))
+		if deadline != 0 {
+			return errHashDeadline
 		}
-		v := make([]byte, len(value))
-		copy(v, value)
-		s.Hash(name).applySet(field, v, expiry)
+		s.Hash(name).applySet(field, bytes.Clone(value))
 	case opHDel:
 		name, field := r.string(), r.string()
 		if r.err != nil {
@@ -394,9 +393,9 @@ func (s *Store) applyRecord(rec []byte) error {
 // has no consumers yet).
 // ---------------------------------------------------------------------
 
-func (h *Hash) applySet(field string, value []byte, expiry time.Time) {
+func (h *Hash) applySet(field string, value []byte) {
 	h.mu.Lock()
-	h.fields[field] = entry{value: value, expiry: expiry}
+	h.fields[field] = value
 	h.mu.Unlock()
 }
 
@@ -464,8 +463,8 @@ func (q *Queue) applyRequeue(receipts []uint64) {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot codec: full store state (hashes with absolute expiries,
-// queues with items, pending sets, and sequence counters, then the
+// Snapshot codec: full store state (hashes, each field behind the same
+// zero deadline as in the journal, queues with items, pending sets, and sequence counters, then the
 // task table's records).
 // ---------------------------------------------------------------------
 
@@ -491,23 +490,11 @@ func (s *Store) encodeSnapshot() []byte {
 		h := hashes[name]
 		b = appendString(b, name)
 		h.mu.RLock()
-		now := h.now()
-		live := make([]string, 0, len(h.fields))
-		for f, e := range h.fields {
-			if !e.expired(now) {
-				live = append(live, f)
-			}
-		}
-		b = binary.AppendUvarint(b, uint64(len(live)))
-		for _, f := range live {
-			e := h.fields[f]
+		b = binary.AppendUvarint(b, uint64(len(h.fields)))
+		for f, v := range h.fields {
 			b = appendString(b, f)
-			b = appendBytes(b, e.value)
-			var nanos uint64
-			if !e.expiry.IsZero() {
-				nanos = uint64(e.expiry.UnixNano())
-			}
-			b = binary.AppendUvarint(b, nanos)
+			b = appendBytes(b, v)
+			b = append(b, 0) // no deadline
 		}
 		h.mu.RUnlock()
 	}
@@ -560,17 +547,14 @@ func (s *Store) decodeSnapshot(blob []byte) error {
 		for j := uint64(0); j < nf && r.err == nil; j++ {
 			field := r.string()
 			value := r.bytes()
-			nanos := r.uvarint()
+			deadline := r.uvarint()
 			if r.err != nil {
 				break
 			}
-			v := make([]byte, len(value))
-			copy(v, value)
-			var expiry time.Time
-			if nanos != 0 {
-				expiry = time.Unix(0, int64(nanos))
+			if deadline != 0 {
+				return errHashDeadline
 			}
-			h.applySet(field, v, expiry)
+			h.applySet(field, bytes.Clone(value))
 		}
 	}
 	nq := r.uvarint()

@@ -29,21 +29,10 @@ var ErrTimeout = errors.New("store: blocking pop timed out")
 // the pending set.
 var ErrNotPending = errors.New("store: item not pending")
 
-// entry is a stored hash field with optional expiry.
-type entry struct {
-	value  []byte
-	expiry time.Time // zero means no expiry
-}
-
-func (e entry) expired(now time.Time) bool {
-	return !e.expiry.IsZero() && now.After(e.expiry)
-}
-
-// Hash is one Redis-style hashset: field -> value with optional TTL.
+// Hash is one Redis-style hashset: field -> value.
 type Hash struct {
 	mu     sync.RWMutex
-	fields map[string]entry
-	now    func() time.Time
+	fields map[string][]byte
 
 	// set by a persistent Store; nil in pure in-memory mode
 	name string
@@ -52,42 +41,29 @@ type Hash struct {
 
 // NewHash returns an empty hashset.
 func NewHash() *Hash {
-	return &Hash{fields: make(map[string]entry), now: time.Now}
+	return &Hash{fields: make(map[string][]byte)}
 }
 
-// Set stores value under field with no expiry.
+// Set stores value under field.
 func (h *Hash) Set(field string, value []byte) {
-	h.SetTTL(field, value, 0)
-}
-
-// SetTTL stores value under field, expiring after ttl (0 = never).
-func (h *Hash) SetTTL(field string, value []byte, ttl time.Duration) {
 	if h.j != nil {
 		h.j.lock()
 		defer h.j.unlock()
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	e := entry{value: value}
-	if ttl > 0 {
-		e.expiry = h.now().Add(ttl)
-	}
-	h.fields[field] = e
+	h.fields[field] = value
 	if h.j != nil {
-		h.j.record(encodeHSet(h.name, field, value, e.expiry))
+		h.j.record(encodeHSet(h.name, field, value))
 	}
 }
 
-// Get returns the value for field and whether it exists (and is not
-// expired).
+// Get returns the value for field and whether it exists.
 func (h *Hash) Get(field string) ([]byte, bool) {
 	h.mu.RLock()
-	e, ok := h.fields[field]
+	v, ok := h.fields[field]
 	h.mu.RUnlock()
-	if !ok || e.expired(h.now()) {
-		return nil, false
-	}
-	return e.value, true
+	return v, ok
 }
 
 // Del removes field, reporting whether it existed.
@@ -108,48 +84,22 @@ func (h *Hash) Del(field string) bool {
 	return ok
 }
 
-// Len returns the number of live (unexpired) fields.
+// Len returns the number of fields.
 func (h *Hash) Len() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	now := h.now()
-	n := 0
-	for _, e := range h.fields {
-		if !e.expired(now) {
-			n++
-		}
-	}
-	return n
+	return len(h.fields)
 }
 
-// Keys returns the live field names in unspecified order.
+// Keys returns the field names in unspecified order.
 func (h *Hash) Keys() []string {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	now := h.now()
 	keys := make([]string, 0, len(h.fields))
-	for k, e := range h.fields {
-		if !e.expired(now) {
-			keys = append(keys, k)
-		}
+	for k := range h.fields {
+		keys = append(keys, k)
 	}
 	return keys
-}
-
-// Purge removes expired fields, returning how many were removed. The
-// store's background janitor calls this; tests may call it directly.
-func (h *Hash) Purge() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	now := h.now()
-	n := 0
-	for k, e := range h.fields {
-		if e.expired(now) {
-			delete(h.fields, k)
-			n++
-		}
-	}
-	return n
 }
 
 // Queue is a reliable FIFO queue of byte items. Consumers either Pop
@@ -320,20 +270,11 @@ func (q *Queue) TryPopReliable() (data []byte, receipt uint64, ok bool) {
 	return item.data, receipt, true
 }
 
-// BPop blocks until an item is available or the timeout elapses
-// (timeout <= 0 waits forever). It is the BLPOP analogue.
-func (q *Queue) BPop(timeout time.Duration) ([]byte, error) {
-	data, _, err := q.bpop(timeout, false)
-	return data, err
-}
-
-// BPopReliable is BPop but the item is parked in the pending set until
-// Ack(receipt) or RequeuePending returns it to the queue.
+// BPopReliable blocks until an item is available or the timeout
+// elapses (timeout <= 0 waits forever): the BLPOP analogue. The item is
+// parked in the pending set until Ack(receipt) or RequeuePending
+// returns it to the queue.
 func (q *Queue) BPopReliable(timeout time.Duration) (data []byte, receipt uint64, err error) {
-	return q.bpop(timeout, true)
-}
-
-func (q *Queue) bpop(timeout time.Duration, reliable bool) ([]byte, uint64, error) {
 	var timerC <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
@@ -349,16 +290,6 @@ func (q *Queue) bpop(timeout time.Duration, reliable bool) ([]byte, uint64, erro
 		q.mu.Lock()
 		if q.items.Len() > 0 {
 			item := q.items.Remove(q.items.Front()).(queued)
-			if !reliable {
-				if q.j != nil {
-					q.j.record(encodeQReceipt(opQPop, q.name, 0))
-				}
-				q.mu.Unlock()
-				if q.j != nil {
-					q.j.unlock()
-				}
-				return item.data, 0, nil
-			}
 			q.nextID++
 			receipt := q.nextID
 			q.pending[receipt] = item
@@ -584,21 +515,10 @@ func (s *Store) Queue(name string) *Queue {
 	return q
 }
 
-// QueueNames returns the names of all queues created so far.
-func (s *Store) QueueNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.queues))
-	for n := range s.queues {
-		names = append(names, n)
-	}
-	return names
-}
-
-// StartJanitor launches a background loop that purges expired hash
-// fields and retires task records whose retirement is due every
-// interval, mirroring funcX's periodic purge of retrieved results from
-// the Redis store (§4.1). Stop with StopJanitor.
+// StartJanitor launches a background loop that retires task records
+// whose retirement is due every interval, mirroring funcX's periodic
+// purge of retrieved results from the Redis store (§4.1). Stop with
+// StopJanitor.
 func (s *Store) StartJanitor(interval time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -634,21 +554,9 @@ func (s *Store) StopJanitor() {
 	}
 }
 
-// PurgeExpired removes expired fields from every hash and retires due
-// task records, returning the total.
-func (s *Store) PurgeExpired() int {
-	s.mu.Lock()
-	hashes := make([]*Hash, 0, len(s.hashes))
-	for _, h := range s.hashes {
-		hashes = append(hashes, h)
-	}
-	s.mu.Unlock()
-	n := 0
-	for _, h := range hashes {
-		n += h.Purge()
-	}
-	return n + s.tasks.purge()
-}
+// PurgeExpired retires the task records whose retirement is due,
+// returning how many.
+func (s *Store) PurgeExpired() int { return s.tasks.purge() }
 
 // Close stops the janitor and snapshotter, closes every queue, and —
 // in durable mode — flushes and closes the WAL, so a clean shutdown
@@ -674,7 +582,3 @@ func (s *Store) Close() {
 // TaskQueueName returns the conventional task queue name for an
 // endpoint id.
 func TaskQueueName(endpointID string) string { return fmt.Sprintf("tasks:%s", endpointID) }
-
-// ResultQueueName returns the conventional result queue name for an
-// endpoint id.
-func ResultQueueName(endpointID string) string { return fmt.Sprintf("results:%s", endpointID) }

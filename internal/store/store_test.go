@@ -8,6 +8,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"funcx/internal/taskrec"
+	"funcx/internal/types"
 )
 
 func TestHashSetGetDel(t *testing.T) {
@@ -28,26 +31,6 @@ func TestHashSetGetDel(t *testing.T) {
 	}
 	if h.Del("a") {
 		t.Fatal("second Del reported present")
-	}
-}
-
-func TestHashTTLExpiry(t *testing.T) {
-	h := NewHash()
-	now := time.Now()
-	h.now = func() time.Time { return now }
-	h.SetTTL("x", []byte("v"), 10*time.Millisecond)
-	if _, ok := h.Get("x"); !ok {
-		t.Fatal("fresh TTL field missing")
-	}
-	now = now.Add(11 * time.Millisecond)
-	if _, ok := h.Get("x"); ok {
-		t.Fatal("expired field still visible")
-	}
-	if n := h.Purge(); n != 1 {
-		t.Fatalf("Purge = %d, want 1", n)
-	}
-	if h.Len() != 0 {
-		t.Fatalf("Len after purge = %d", h.Len())
 	}
 }
 
@@ -83,7 +66,7 @@ func TestQueueBlockingPop(t *testing.T) {
 	q := NewQueue()
 	done := make(chan []byte, 1)
 	go func() {
-		v, err := q.BPop(time.Second)
+		v, _, err := q.BPopReliable(time.Second)
 		if err != nil {
 			done <- nil
 			return
@@ -97,17 +80,17 @@ func TestQueueBlockingPop(t *testing.T) {
 	select {
 	case v := <-done:
 		if string(v) != "x" {
-			t.Fatalf("BPop = %q", v)
+			t.Fatalf("BPopReliable = %q", v)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("BPop did not wake")
+		t.Fatal("BPopReliable did not wake")
 	}
 }
 
 func TestQueueBPopTimeout(t *testing.T) {
 	q := NewQueue()
 	start := time.Now()
-	_, err := q.BPop(30 * time.Millisecond)
+	_, _, err := q.BPopReliable(30 * time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -184,7 +167,7 @@ func TestQueueCloseWakesConsumers(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := q.BPop(0)
+			_, _, err := q.BPopReliable(0)
 			errs <- err
 		}()
 	}
@@ -225,7 +208,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer cg.Done()
 			for {
-				v, err := q.BPop(200 * time.Millisecond)
+				v, _, err := q.BPopReliable(200 * time.Millisecond)
 				if err != nil {
 					return
 				}
@@ -319,25 +302,23 @@ func TestStoreNamedResources(t *testing.T) {
 	if s.Queue(TaskQueueName("ep2")) == q1 {
 		t.Fatal("distinct names share a queue")
 	}
-	if len(s.QueueNames()) != 2 {
-		t.Fatalf("QueueNames = %v", s.QueueNames())
-	}
 }
 
 func TestStoreJanitorPurges(t *testing.T) {
 	s := New()
 	defer s.Close()
-	h := s.Hash("r")
-	h.SetTTL("x", []byte("v"), time.Millisecond)
+	s.Tasks().Apply(taskrec.Event{Kind: taskrec.Place, ID: "t", Owner: "alice", Endpoint: "ep", Frame: []byte("task")}, discard)
+	s.Tasks().Apply(taskrec.Event{Kind: taskrec.Result, ID: "t", Status: types.TaskSuccess, Frame: []byte("result")}, discard)
+	s.Tasks().Apply(taskrec.Event{Kind: taskrec.Retire, ID: "t", At: time.Now().Add(time.Millisecond)}, discard)
 	s.StartJanitor(5 * time.Millisecond)
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		if h.Len() == 0 {
+		if rec := tableOf(s)["t"]; rec.Result() == nil {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("janitor did not purge expired field")
+	t.Fatal("janitor did not retire the due record")
 }
 
 func TestStoreCloseClosesQueues(t *testing.T) {
@@ -352,8 +333,5 @@ func TestStoreCloseClosesQueues(t *testing.T) {
 func TestQueueNames(t *testing.T) {
 	if TaskQueueName("abc") != "tasks:abc" {
 		t.Fatal(TaskQueueName("abc"))
-	}
-	if ResultQueueName("abc") != "results:abc" {
-		t.Fatal(ResultQueueName("abc"))
 	}
 }

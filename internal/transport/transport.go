@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -108,6 +109,15 @@ type Message struct {
 	Payload []byte
 }
 
+// WarnUndecodable logs a frame from conn that the receiving hop could not
+// decode and is dropping: a peer from another build, or a corrupt link.
+// The tasks it carried are otherwise seen only by the leases that
+// eventually expire on them. peer names the sender's role.
+func WarnUndecodable(log *slog.Logger, peer string, conn Conn, msg Message, err error) {
+	log.Warn("dropping undecodable frame",
+		"peer", peer, "peer_id", conn.RemoteIdentity(), "msg_type", msg.Type.String(), "bytes", len(msg.Payload), "error", err)
+}
+
 // Errors returned by connections.
 var (
 	// ErrClosed is returned after Close (locally or by the peer).
@@ -127,7 +137,14 @@ const MaxFrameSize = 64 << 20
 // safe for concurrent use; Recv must be called from one goroutine at a
 // time.
 type Conn interface {
-	// Send writes one message.
+	// Send writes one message and hands its payload over: the payload
+	// belongs to the receiver, and the sender must not write to it
+	// again. An inproc connection delivers the very slice, a TCP one a
+	// fresh buffer read off the socket, so a receiver may stamp a frame
+	// it was sent where it lies (wire.RestampResult) only where the
+	// protocol leaves it the sole holder — a result frame on its way
+	// up. A task frame on its way down is shared with the store's
+	// record and stays read-only at every hop.
 	Send(Message) error
 	// Recv blocks for the next message. A timeout <= 0 blocks
 	// indefinitely; otherwise ErrTimeout is returned on expiry.

@@ -19,16 +19,18 @@ import (
 
 // Format bytes. None is '{' or '[': a record written by the JSON codec
 // this one replaced is recognised by its first byte and rejected with
-// ErrLegacyJSON.
+// ErrLegacyJSON. 0x03 was the result frame whose stamps were varints; a
+// result decoder names it with ErrLegacyResult.
 const (
-	formatTask      byte = 0x01
-	formatTasks     byte = 0x02
-	formatResult    byte = 0x03
-	formatCapacity  byte = 0x04
-	formatTaskStart byte = 0x05
-	formatEvent     byte = 0x06
-	formatHeartbeat byte = 0x07
-	formatGap       byte = 0x08
+	formatTask         byte = 0x01
+	formatTasks        byte = 0x02
+	formatResultVarint byte = 0x03
+	formatCapacity     byte = 0x04
+	formatTaskStart    byte = 0x05
+	formatEvent        byte = 0x06
+	formatHeartbeat    byte = 0x07
+	formatGap          byte = 0x08
+	formatResult       byte = 0x09
 )
 
 // ErrLegacyJSON is returned (wrapped) by every frame decoder for a
@@ -36,6 +38,12 @@ const (
 // fallback decoder: a data dir holding such records was written by an
 // older build and is not readable.
 var ErrLegacyJSON = errors.New("legacy JSON record (written before binary frames)")
+
+// ErrLegacyResult is returned (wrapped) by the result decoder for a
+// result frame in the layout used before its stamps became fixed-width.
+// There is no second decoder: a data dir holding such results, or a
+// peer sending them, belongs to an older build.
+var ErrLegacyResult = errors.New("legacy result frame (written before fixed-width stamps)")
 
 // errFrame is the cause of every malformed-frame error.
 var errFrame = errors.New("malformed frame")
@@ -74,10 +82,10 @@ const (
 	tagResultTaskID resultTag = iota + 1
 	tagResultErr
 	tagResultCompleted
-	tagResultTiming // varints TS, TF, TE, TW
+	tagResultTiming // 4 × int64: TS, TF, TE, TW
 	tagResultWorker
 	tagResultFlags // resultMemoized | resultLost
-	tagResultTrace // present iff Trace != nil: varints Exec, ManagerQueue, AgentQueue
+	tagResultTrace // present iff Trace != nil; 3 × int64: Exec, ManagerQueue, AgentQueue
 )
 
 const (
@@ -165,6 +173,17 @@ func appendInt(b []byte, tag byte, v int64) []byte {
 	return appendInts(b, tag, v)
 }
 
+// appendFixed writes one field holding vs as consecutive big-endian
+// int64s: a field of known width whatever its values, so that a later
+// hop can rewrite them where they lie (RestampResult).
+func appendFixed(b []byte, tag byte, vs ...int64) []byte {
+	b = append(b, tag, byte(8*len(vs)))
+	for _, v := range vs {
+		b = binary.BigEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
 func appendFlags(b []byte, tag, flags byte) []byte {
 	if flags == 0 {
 		return b
@@ -202,10 +221,14 @@ func appendKeyed[V string | []byte](b []byte, tag byte, k string, v V) []byte {
 	return append(append(append(b, kl[:n]...), k...), v...)
 }
 
-// headerRoom is the stack space a header is built in before its frame
-// is allocated; a longer header (a long error, many selectors) spills
-// to the heap.
-const headerRoom = 320
+// HeaderRoom is the bytes a header gets before anyone knows its length:
+// the stack space an encoder builds it in before the frame is allocated
+// (a longer header — a long error, many selectors — spills to the heap),
+// and the spare bytes a reader leaves in front of a submission it may
+// hand to EncodeTaskInto, which is room for all the service stamps on
+// one (id, owner, container, body hash, attempt, submission time, trace
+// context).
+const HeaderRoom = 320
 
 func appendTaskHeader(b []byte, t *types.Task) []byte {
 	b = appendString(b, byte(tagTaskID), string(t.ID))
@@ -246,8 +269,29 @@ func appendTaskHeader(b []byte, t *types.Task) []byte {
 
 // EncodeTask frames a task for the store, the WAL and transport.
 func EncodeTask(t *types.Task) []byte {
-	var scratch [headerRoom]byte
+	var scratch [HeaderRoom]byte
 	return frame(formatTask, appendTaskHeader(scratch[:0], t), t.Payload)
+}
+
+// EncodeTaskInto is EncodeTask for a task whose Payload is the tail of
+// buf, as when buf is a request body the task was read out of: the
+// header is written right-aligned against the payload inside buf, the
+// payload is not copied, and the frame returned is buf's tail. Whatever
+// lay in front of the payload — all of buf, for a task that has none —
+// is given up to be overwritten, so nothing else may still read it. A
+// payload that is not buf's tail, or a header longer than the room in
+// front of it, gets EncodeTask's fresh allocation instead.
+func EncodeTaskInto(buf []byte, t *types.Task) []byte {
+	var scratch [HeaderRoom]byte
+	header := appendTaskHeader(scratch[:0], t)
+	at := len(buf) - len(t.Payload) // where the payload would start
+	off := at - frameOverhead - len(header)
+	if off < 0 || (len(t.Payload) > 0 && &buf[at] != &t.Payload[0]) {
+		return frame(formatTask, header, t.Payload)
+	}
+	head := appendFrame(buf[off:off], formatTask, header, nil) // ends in a zero body length
+	binary.BigEndian.PutUint32(head[len(head)-4:], uint32(len(t.Payload)))
+	return buf[off:len(buf):len(buf)]
 }
 
 // EncodeTasks frames a batch of tasks (executor-side batching): the
@@ -255,11 +299,11 @@ func EncodeTask(t *types.Task) []byte {
 func EncodeTasks(ts []*types.Task) []byte {
 	size := 1 + binary.MaxVarintLen64
 	for _, t := range ts {
-		size += 4 + frameOverhead + headerRoom + len(t.Payload)
+		size += 4 + frameOverhead + HeaderRoom + len(t.Payload)
 	}
 	b := append(make([]byte, 0, size), formatTasks)
 	b = binary.AppendUvarint(b, uint64(len(ts)))
-	var scratch [headerRoom]byte
+	var scratch [HeaderRoom]byte
 	for _, t := range ts {
 		header := appendTaskHeader(scratch[:0], t)
 		b = binary.BigEndian.AppendUint32(b, uint32(frameOverhead+len(header)+len(t.Payload)))
@@ -285,12 +329,12 @@ func JoinTasks(frames [][]byte) []byte {
 
 // EncodeResult frames a result for transport and the store.
 func EncodeResult(r *types.Result) []byte {
-	var scratch [headerRoom]byte
+	var scratch [HeaderRoom]byte
 	b := appendString(scratch[:0], byte(tagResultTaskID), string(r.TaskID))
 	b = appendString(b, byte(tagResultErr), r.Err)
 	b = appendTime(b, byte(tagResultCompleted), r.Completed)
 	if r.Timing != (types.Timing{}) {
-		b = appendInts(b, byte(tagResultTiming), int64(r.Timing.TS), int64(r.Timing.TF), int64(r.Timing.TE), int64(r.Timing.TW))
+		b = appendFixed(b, byte(tagResultTiming), int64(r.Timing.TS), int64(r.Timing.TF), int64(r.Timing.TE), int64(r.Timing.TW))
 	}
 	b = appendString(b, byte(tagResultWorker), string(r.WorkerID))
 	var flags byte
@@ -302,15 +346,69 @@ func EncodeResult(r *types.Result) []byte {
 	}
 	b = appendFlags(b, byte(tagResultFlags), flags)
 	if r.Trace != nil {
-		b = appendInts(b, byte(tagResultTrace), int64(r.Trace.Exec), int64(r.Trace.ManagerQueue), int64(r.Trace.AgentQueue))
+		b = appendFixed(b, byte(tagResultTrace), int64(r.Trace.Exec), int64(r.Trace.ManagerQueue), int64(r.Trace.AgentQueue))
 	}
 	return frame(formatResult, b, r.Output)
+}
+
+// RestampResult returns r's frame, given the frame r was decoded from
+// and that only r's stamps — Timing and the values of Trace — were
+// changed since. The stamps are fixed-width, so they are overwritten
+// where they lie and frame itself comes back, its body never read; the
+// caller must be the frame's only holder. A stamp section that has to
+// appear or go (a zero Timing is not written, so a result that had
+// none gains the section with its first stamp) is a re-encode.
+func RestampResult(frame []byte, r *types.Result) []byte {
+	if !patchStamps(frame, r) {
+		return EncodeResult(r)
+	}
+	return frame
+}
+
+// patchStamps writes r's stamps over the ones in frame, if frame holds
+// exactly the sections r's encoding has.
+func patchStamps(frame []byte, r *types.Result) bool {
+	header, _, err := openFrame(frame, formatResult)
+	if err != nil {
+		return false
+	}
+	var timing, deltas []byte
+	for off := 0; off < len(header); {
+		tag, lo, hi, err := nextField(header, off)
+		if err != nil {
+			return false
+		}
+		switch resultTag(tag) {
+		case tagResultTiming:
+			timing = header[lo:hi]
+		case tagResultTrace:
+			deltas = header[lo:hi]
+		}
+		off = hi
+	}
+	hasTiming, hasTrace := r.Timing != (types.Timing{}), r.Trace != nil
+	if (len(timing) == 4*8) != hasTiming || (len(deltas) == 3*8) != hasTrace {
+		return false
+	}
+	if hasTiming {
+		putFixed(timing, int64(r.Timing.TS), int64(r.Timing.TF), int64(r.Timing.TE), int64(r.Timing.TW))
+	}
+	if hasTrace {
+		putFixed(deltas, int64(r.Trace.Exec), int64(r.Trace.ManagerQueue), int64(r.Trace.AgentQueue))
+	}
+	return true
+}
+
+func putFixed(dst []byte, vs ...int64) {
+	for i, v := range vs {
+		binary.BigEndian.PutUint64(dst[8*i:], uint64(v))
+	}
 }
 
 // EncodeCapacity frames a capacity advertisement: a header and no
 // body. An empty Free is not written and decodes as nil.
 func EncodeCapacity(c *types.Capacity) []byte {
-	var scratch [headerRoom]byte
+	var scratch [HeaderRoom]byte
 	b := appendString(scratch[:0], byte(tagCapacityManager), string(c.ManagerID))
 	var keys [4]string
 	for _, k := range appendSortedKeys(keys[:0], c.Free) {
@@ -326,7 +424,7 @@ func EncodeCapacity(c *types.Capacity) []byte {
 // EncodeTaskStart frames an execution-start signal: a header and no
 // body.
 func EncodeTaskStart(s *TaskStart) []byte {
-	var scratch [headerRoom]byte
+	var scratch [HeaderRoom]byte
 	b := appendString(scratch[:0], byte(tagTaskStartTaskID), string(s.TaskID))
 	b = appendString(b, byte(tagTaskStartWorker), string(s.WorkerID))
 	b = appendString(b, byte(tagTaskStartManager), string(s.ManagerID))
@@ -369,6 +467,8 @@ func checkFormat(data []byte, format byte) error {
 		return fmt.Errorf("%w: empty", errFrame)
 	case data[0] == '{' || data[0] == '[':
 		return ErrLegacyJSON
+	case format == formatResult && data[0] == formatResultVarint:
+		return ErrLegacyResult
 	case data[0] != format:
 		return fmt.Errorf("%w: format byte %#x, want %#x", errFrame, data[0], format)
 	}
@@ -432,6 +532,17 @@ func ints(tag byte, v []byte, dst ...*int64) error {
 	}
 	if len(v) != 0 {
 		return fmt.Errorf("%w: field %d: %d trailing bytes", errFrame, tag, len(v))
+	}
+	return nil
+}
+
+// fixed reads exactly len(dst) big-endian int64s filling v.
+func fixed(tag byte, v []byte, dst ...*int64) error {
+	if len(v) != 8*len(dst) {
+		return fmt.Errorf("%w: field %d: %d bytes, want %d", errFrame, tag, len(v), 8*len(dst))
+	}
+	for i, d := range dst {
+		*d = int64(binary.BigEndian.Uint64(v[8*i:]))
 	}
 	return nil
 }
@@ -563,6 +674,37 @@ func DecodeTask(data []byte) (*types.Task, error) {
 	return t, nil
 }
 
+// TaskView is a task frame opened in place: the decoded header beside
+// the bytes it was decoded from. A hop that only routes, queues or
+// leases a task reads Head and sends Raw on, so the frame is neither
+// re-encoded nor copied. Head says what Raw holds and is read-only; a
+// hop that must change a field makes a new view (WithAttempt), whose
+// Raw is a fresh encoding.
+type TaskView struct {
+	// Head is the decoded task; its Payload aliases Raw.
+	Head *types.Task
+	// Raw is the frame as received.
+	Raw []byte
+}
+
+// ViewTask opens a task frame; the view keeps data, which the caller
+// must not rewrite afterwards.
+func ViewTask(data []byte) (TaskView, error) {
+	t, err := DecodeTask(data)
+	return TaskView{Head: t, Raw: data}, err
+}
+
+// WithAttempt is the view of the same task on another delivery attempt.
+func (v TaskView) WithAttempt(attempt int) TaskView {
+	t := *v.Head
+	t.Attempt = attempt
+	raw := EncodeTask(&t)
+	if len(t.Payload) > 0 {
+		t.Payload = raw[len(raw)-len(t.Payload):] // let go of the old frame
+	}
+	return TaskView{Head: &t, Raw: raw}
+}
+
 // IsTaskBatch reports whether data declares itself a batch of tasks
 // (DecodeTasks) by its format byte, where a reader takes either that or
 // one task frame.
@@ -570,14 +712,27 @@ func IsTaskBatch(data []byte) bool { return len(data) > 0 && data[0] == formatTa
 
 // DecodeTasks unframes a batch of tasks; their Payloads alias data.
 func DecodeTasks(data []byte) ([]*types.Task, error) {
-	ts, err := decodeTasks(data)
+	ts, err := decodeTasks(data, func(t *types.Task, _ []byte) *types.Task { return t })
 	if err != nil {
 		return nil, fmt.Errorf("wire: decoding task batch: %w", err)
 	}
 	return ts, nil
 }
 
-func decodeTasks(data []byte) ([]*types.Task, error) {
+// ViewTasks opens a batch of tasks; each view's Raw is its frame inside
+// data (what JoinTasks put there), which the caller must not rewrite
+// afterwards.
+func ViewTasks(data []byte) ([]TaskView, error) {
+	vs, err := decodeTasks(data, func(t *types.Task, raw []byte) TaskView { return TaskView{Head: t, Raw: raw} })
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding task batch: %w", err)
+	}
+	return vs, nil
+}
+
+// decodeTasks decodes each entry of a batch and collects what entry
+// makes of the task and its frame.
+func decodeTasks[T any](data []byte, entry func(*types.Task, []byte) T) ([]T, error) {
 	if err := checkFormat(data, formatTasks); err != nil {
 		return nil, err
 	}
@@ -592,7 +747,7 @@ func decodeTasks(data []byte) ([]*types.Task, error) {
 	if count > uint64(len(rest)/13) {
 		return nil, fmt.Errorf("%w: %d tasks claimed in %d bytes", errFrame, count, len(rest))
 	}
-	ts := make([]*types.Task, 0, count)
+	out := make([]T, 0, count)
 	for range count {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("%w: truncated task length", errFrame)
@@ -602,16 +757,16 @@ func decodeTasks(data []byte) ([]*types.Task, error) {
 		if uint64(n) > uint64(len(rest)) {
 			return nil, fmt.Errorf("%w: task length %d exceeds the %d bytes left", errFrame, n, len(rest))
 		}
-		t, err := decodeTask(rest[:n])
+		t, err := decodeTask(rest[:n:n])
 		if err != nil {
 			return nil, err
 		}
-		ts, rest = append(ts, t), rest[n:]
+		out, rest = append(out, entry(t, rest[:n:n])), rest[n:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after the last task", errFrame, len(rest))
 	}
-	return ts, nil
+	return out, nil
 }
 
 // DecodeResult unframes a result. The returned result's Output
@@ -650,7 +805,7 @@ func decodeResult(data []byte) (*types.Result, error) {
 			r.Completed, err = timeOf(tag, v)
 		case tagResultTiming:
 			var ts, tf, te, tw int64
-			err = ints(tag, v, &ts, &tf, &te, &tw)
+			err = fixed(tag, v, &ts, &tf, &te, &tw)
 			r.Timing = types.Timing{TS: time.Duration(ts), TF: time.Duration(tf), TE: time.Duration(te), TW: time.Duration(tw)}
 		case tagResultWorker:
 			r.WorkerID = types.WorkerID(v)
@@ -662,7 +817,7 @@ func decodeResult(data []byte) (*types.Result, error) {
 			r.Memoized, r.Lost = flags&resultMemoized != 0, flags&resultLost != 0
 		case tagResultTrace:
 			var exec, mq, aq int64
-			err = ints(tag, v, &exec, &mq, &aq)
+			err = fixed(tag, v, &exec, &mq, &aq)
 			r.Trace = &types.TraceDeltas{Exec: time.Duration(exec), ManagerQueue: time.Duration(mq), AgentQueue: time.Duration(aq)}
 		default:
 			return nil, fmt.Errorf("%w: unknown result field %d", errFrame, tag)

@@ -191,6 +191,159 @@ func TestDecodeAliasesInput(t *testing.T) {
 	}
 }
 
+// A view is the decoded header beside the very bytes it was opened
+// from, one task or a batch of them; the one way to change a field is a
+// new view over a new encoding.
+func TestViewKeepsItsInput(t *testing.T) {
+	task := filled[types.Task](t)
+	enc := EncodeTask(task)
+	v, err := ViewTask(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v.Head, task) || &v.Raw[0] != &enc[0] || len(v.Raw) != len(enc) || !within(v.Head.Payload, enc) {
+		t.Fatalf("ViewTask = %+v over %p, want %+v over the input %p", v.Head, v.Raw, task, enc)
+	}
+	if _, err := ViewTask(enc[:len(enc)-1]); err == nil {
+		t.Fatal("ViewTask accepted a truncated frame")
+	}
+
+	frames := [][]byte{enc, EncodeTask(&types.Task{}), EncodeTask(&types.Task{ID: "c", Payload: []byte("x")})}
+	batch := JoinTasks(frames)
+	vs, err := ViewTasks(batch)
+	if err != nil || len(vs) != len(frames) {
+		t.Fatalf("ViewTasks = %d views, %v", len(vs), err)
+	}
+	heads, _ := DecodeTasks(batch)
+	for i, v := range vs {
+		if !bytes.Equal(v.Raw, frames[i]) || !within(v.Raw, batch) || cap(v.Raw) != len(v.Raw) || !reflect.DeepEqual(v.Head, heads[i]) {
+			t.Fatalf("view %d = %+v over %q, want %+v over its frame inside the batch", i, v.Head, v.Raw, heads[i])
+		}
+	}
+	// Forwarding a batch is joining what was received.
+	if !bytes.Equal(JoinTasks([][]byte{vs[0].Raw, vs[1].Raw, vs[2].Raw}), batch) {
+		t.Fatal("the views' frames do not join back into their batch")
+	}
+
+	before := bytes.Clone(enc)
+	next := v.WithAttempt(task.Attempt + 1)
+	want := *task
+	want.Attempt++
+	if !reflect.DeepEqual(next.Head, &want) || !bytes.Equal(next.Raw, EncodeTask(&want)) || !within(next.Head.Payload, next.Raw) {
+		t.Fatalf("WithAttempt = %+v over %q", next.Head, next.Raw)
+	}
+	if v.Head.Attempt != task.Attempt || !bytes.Equal(enc, before) {
+		t.Fatal("WithAttempt changed the view it was made from")
+	}
+}
+
+// The service stamps a submission that arrived as one frame inside the
+// body it arrived in: the header is rewritten in the room in front of
+// the payload and not one payload byte is read or written. Anything
+// else is a fresh frame of the same bytes.
+func TestEncodeTaskIntoStampsInPlace(t *testing.T) {
+	payload := bytes.Repeat([]byte("payload "), 1024)
+	submitted := EncodeTask(&types.Task{FunctionID: "fn-1", EndpointID: "ep-1", Payload: payload, Memoize: true})
+	body := append(make([]byte, HeaderRoom, HeaderRoom+len(submitted)), submitted...)
+	sub, err := DecodeTask(body[HeaderRoom:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped := filled[types.Task](t)
+	stamped.Payload = sub.Payload
+	want := EncodeTask(stamped)
+
+	at := len(body) - len(payload)
+	got := EncodeTaskInto(body, stamped)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodeTaskInto = %q, want EncodeTask's %q", got[:len(got)-len(payload)], want[:len(want)-len(payload)])
+	}
+	if &got[len(got)-1] != &body[len(body)-1] || &got[len(got)-len(payload)] != &body[at] {
+		t.Fatal("EncodeTaskInto did not write the frame into the body")
+	}
+	if !bytes.Equal(body[at:], payload) || !bytes.Equal(body[:len(body)-len(got)], make([]byte, len(body)-len(got))) {
+		t.Fatal("EncodeTaskInto wrote outside the header")
+	}
+	if n := testing.AllocsPerRun(100, func() { EncodeTaskInto(body, stamped) }); n != 0 {
+		t.Fatalf("EncodeTaskInto in place: %v allocations, want 0", n)
+	}
+	// No payload at all: the frame is the last bytes of the body, which
+	// held the submission's header and empty body length.
+	empty := *stamped
+	empty.Payload = nil
+	noPayload := append(make([]byte, HeaderRoom), EncodeTask(&types.Task{FunctionID: "fn-1"})...)
+	if got := EncodeTaskInto(noPayload, &empty); !bytes.Equal(got, EncodeTask(&empty)) || &got[len(got)-1] != &noPayload[len(noPayload)-1] {
+		t.Fatalf("EncodeTaskInto with no payload = %q", got)
+	}
+
+	for name, buf := range map[string][]byte{
+		"no body":              nil,
+		"a payload of its own": make([]byte, len(body)),
+		"no room":              body[at-8:],
+		"not the tail":         body[:len(body)-1],
+	} {
+		before := bytes.Clone(buf)
+		got := EncodeTaskInto(buf, stamped)
+		if !bytes.Equal(got, want) || within(got[:1], body) || !bytes.Equal(buf, before) {
+			t.Fatalf("%s: EncodeTaskInto wrote %d bytes (want %d), inside the body: %v; want a frame of its own",
+				name, len(got), len(want), within(got[:1], body))
+		}
+	}
+}
+
+// A hop stamps a result by overwriting the fixed-width stamps of the
+// frame it holds; only a stamp section that must appear or go costs an
+// encode.
+func TestRestampResultPatchesInPlace(t *testing.T) {
+	output := bytes.Repeat([]byte("output "), 1024)
+	res := &types.Result{
+		TaskID: "t-1", Output: output, Completed: time.Unix(1_700_000_000, 1).UTC(), WorkerID: "w-1",
+		Timing: types.Timing{TW: time.Millisecond}, Trace: &types.TraceDeltas{Exec: time.Millisecond},
+	}
+	frame := EncodeResult(res)
+	got, err := DecodeResult(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Timing.TE, got.Timing.TF, got.Timing.TS = 3, -1, 1<<62
+	got.Trace.AgentQueue, got.Trace.ManagerQueue = 5, 7
+	out := RestampResult(frame, got)
+	if &out[0] != &frame[0] || len(out) != len(frame) {
+		t.Fatal("RestampResult re-encoded a frame that has both stamp sections")
+	}
+	if want := EncodeResult(got); !bytes.Equal(out, want) {
+		t.Fatalf("patched frame = %q, want %q", out[:len(out)-len(output)], want[:len(want)-len(output)])
+	}
+	if back, err := DecodeResult(out); err != nil || !reflect.DeepEqual(back, got) {
+		t.Fatalf("patched frame decodes to %+v, %v; want %+v", back, err, got)
+	}
+	if n := testing.AllocsPerRun(100, func() { RestampResult(frame, got) }); n != 0 {
+		t.Fatalf("RestampResult in place: %v allocations, want 0", n)
+	}
+
+	// A synthesized result has no timing to overwrite; one whose stamps
+	// go back to zero loses the section; a trace context cannot appear.
+	lost := &types.Result{TaskID: "t-2", Err: "lease expired", Lost: true}
+	for name, c := range map[string]struct {
+		from  *types.Result
+		stamp func(*types.Result)
+	}{
+		"timing appears": {lost, func(r *types.Result) { r.Timing.TS = 1 }},
+		"timing goes":    {res, func(r *types.Result) { r.Timing = types.Timing{} }},
+		"trace appears":  {lost, func(r *types.Result) { r.Trace = &types.TraceDeltas{} }},
+		"trace goes":     {res, func(r *types.Result) { r.Trace = nil }},
+	} {
+		frame := EncodeResult(c.from)
+		before := bytes.Clone(frame)
+		r, _ := DecodeResult(frame)
+		c.stamp(r)
+		out := RestampResult(frame, r)
+		if !bytes.Equal(out, EncodeResult(r)) || &out[0] == &frame[0] || !bytes.Equal(frame, before) {
+			t.Fatalf("%s: RestampResult wrote %d bytes (in place: %v), want a new frame of %d", name, len(out), &out[0] == &frame[0], len(EncodeResult(r)))
+		}
+	}
+}
+
 // decoders drives the frame decoders alike.
 var decoders = []struct {
 	name   string
@@ -299,6 +452,22 @@ func TestLegacyJSONIsNamed(t *testing.T) {
 				t.Fatalf("%s(%s) = %v, want ErrLegacyJSON", d.name, legacy, err)
 			}
 		}
+	}
+}
+
+// A result frame in the layout of builds whose stamps were varints is
+// refused by name.
+func TestLegacyResultIsNamed(t *testing.T) {
+	old := appendFrame(nil, formatResultVarint, appendInts(appendString(nil, byte(tagResultTaskID), "t-1"), byte(tagResultTiming), 1, 2, 3, 4), []byte("out"))
+	if _, err := DecodeResult(old); !errors.Is(err, ErrLegacyResult) {
+		t.Fatalf("DecodeResult(varint-stamp frame) = %v, want ErrLegacyResult", err)
+	}
+	if RestampResult(old, &types.Result{TaskID: "t-1"})[0] != formatResult {
+		t.Fatal("RestampResult patched a frame it cannot open")
+	}
+	// Only a result decoder reads 0x03 that way.
+	if _, err := DecodeTask(old); err == nil || errors.Is(err, ErrLegacyResult) {
+		t.Fatalf("DecodeTask(varint-stamp result) = %v", err)
 	}
 }
 

@@ -201,6 +201,33 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("%s: round trip is not a fixed point:\n first %q\nsecond %q", c.name, enc1, enc2)
 			}
 		}
+		// A view is its decoder's task beside the input itself, and a
+		// batch forwarded as its views' frames is the batch re-encoded.
+		if v, err := ViewTask(data); err == nil {
+			if t2, _ := DecodeTask(data); !reflect.DeepEqual(v.Head, t2) || !bytes.Equal(v.Raw, data) {
+				t.Fatalf("ViewTask(%q) = %+v over %q; DecodeTask says %+v", data, v.Head, v.Raw, t2)
+			}
+			if next := v.WithAttempt(v.Head.Attempt + 1); !bytes.Equal(next.Raw, EncodeTask(next.Head)) || next.Head.Attempt != v.Head.Attempt+1 {
+				t.Fatalf("WithAttempt of %q = %+v over %q", data, next.Head, next.Raw)
+			}
+		}
+		if ts, err := DecodeTasks(data); err == nil {
+			canon := EncodeTasks(ts)
+			vs, err := ViewTasks(canon)
+			if err != nil || len(vs) != len(ts) {
+				t.Fatalf("ViewTasks(%q) = %d views, %v; want %d", canon, len(vs), err, len(ts))
+			}
+			frames := make([][]byte, len(vs))
+			for i, v := range vs {
+				if !reflect.DeepEqual(v.Head, ts[i]) {
+					t.Fatalf("view %d of %q = %+v, want %+v", i, canon, v.Head, ts[i])
+				}
+				frames[i] = v.Raw
+			}
+			if joined := JoinTasks(frames); !bytes.Equal(joined, canon) {
+				t.Fatalf("forwarding %q as its views' frames made %q", canon, joined)
+			}
+		}
 		// The stream reader takes the same bytes as a stream: one whole
 		// event frame reads as it decodes, and any input ends in an
 		// error after fewer frames than it has bytes.
@@ -216,6 +243,89 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("EventReader read more than %d frames from %d bytes", n, len(data))
 			}
 			_, err = r.Next()
+		}
+	})
+}
+
+// guarded is a copy of b with a run of sentinel bytes on either side,
+// inside one allocation: what a write that strays outside b lands on.
+func guarded(b []byte) (buf, inner []byte) {
+	const guard = 16
+	buf = bytes.Repeat([]byte{0xa5}, guard+len(b)+guard)
+	inner = buf[guard : guard+len(b) : guard+len(b)]
+	copy(inner, b)
+	return buf, inner
+}
+
+func guardsIntact(buf, inner []byte) bool {
+	n := (len(buf) - len(inner)) / 2
+	want := bytes.Repeat([]byte{0xa5}, n)
+	return bytes.Equal(buf[:n], want) && bytes.Equal(buf[len(buf)-n:], want)
+}
+
+// FuzzRestamp holds the two writes that happen inside a received
+// buffer to the encoders: for any frame a decoder accepts (made
+// canonical first, as every frame a hop holds was written by an
+// encoder) and any stamp values, stamping in place gives exactly the
+// bytes Encode gives for the stamped record, leaves the body and
+// everything outside the frame alone, and is in fact in place whenever
+// the layout allows.
+func FuzzRestamp(f *testing.F) {
+	seeds := frameSeeds()
+	for _, name := range []string{"result", "result_lost", "task"} {
+		f.Add(seeds[name], int64(1), int64(-2), int64(3_000_000), int64(1)<<62)
+		f.Add(seeds[name], int64(0), int64(0), int64(0), int64(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, a, b, c, d int64) {
+		if r, err := DecodeResult(data); err == nil {
+			hadTiming := r.Timing != (types.Timing{})
+			buf, frame := guarded(EncodeResult(r))
+			if r, err = DecodeResult(frame); err != nil {
+				t.Fatalf("DecodeResult rejected EncodeResult's %q: %v", frame, err)
+			}
+			output := bytes.Clone(r.Output)
+			r.Timing = types.Timing{TS: time.Duration(a), TF: time.Duration(b), TE: time.Duration(c), TW: time.Duration(d)}
+			if r.Trace != nil {
+				*r.Trace = types.TraceDeltas{Exec: time.Duration(d), ManagerQueue: time.Duration(c), AgentQueue: time.Duration(b)}
+			}
+			out := RestampResult(frame, r)
+			if want := EncodeResult(r); !bytes.Equal(out, want) {
+				t.Fatalf("RestampResult = %q, want EncodeResult's %q", out, want)
+			}
+			if !guardsIntact(buf, frame) || !bytes.Equal(r.Output, output) {
+				t.Fatalf("RestampResult wrote outside the header of %q", frame)
+			}
+			if inPlace, can := &out[0] == &frame[0], hadTiming == (r.Timing != (types.Timing{})); inPlace != can {
+				t.Fatalf("RestampResult of %q in place: %v, want %v", frame, inPlace, can)
+			}
+		}
+		if sub, err := DecodeTask(data); err == nil {
+			// data as a submission read into a body with room in front,
+			// stamped the way the service's place does.
+			body, inner := guarded(append(make([]byte, HeaderRoom), EncodeTask(sub)...))
+			if sub, err = DecodeTask(inner[HeaderRoom:]); err != nil {
+				t.Fatalf("DecodeTask rejected EncodeTask's %q: %v", inner[HeaderRoom:], err)
+			}
+			payload := bytes.Clone(sub.Payload)
+			stamped := *sub
+			stamped.ID, stamped.Owner = types.TaskID(fmt.Sprint("t-", a)), types.UserID(fmt.Sprint("u-", b))
+			stamped.Attempt, stamped.Submitted = 1, time.Unix(0, c).UTC()
+			if d&1 == 1 {
+				stamped.Trace = &types.TraceContext{Sampled: true, TraceID: fmt.Sprintf("%032x", uint64(d))}
+			}
+			want := EncodeTask(&stamped)
+			out := EncodeTaskInto(inner, &stamped)
+			if !bytes.Equal(out, want) {
+				t.Fatalf("EncodeTaskInto = %q, want EncodeTask's %q", out, want)
+			}
+			if !guardsIntact(body, inner) || !bytes.Equal(sub.Payload, payload) {
+				t.Fatalf("EncodeTaskInto wrote outside the room in front of the payload of %q", inner)
+			}
+			// The submission's own header and the room are always enough
+			// for these stamps unless the frame was all header to begin with.
+			if inPlace := &out[len(out)-1] == &inner[len(inner)-1]; !inPlace && len(want)-len(payload) <= len(inner)-len(payload) {
+				t.Fatalf("EncodeTaskInto copied a %d-byte frame that fits the %d-byte body", len(want), len(inner))
+			}
 		}
 	})
 }

@@ -7,14 +7,15 @@
 // advertisement and the execution-start signal) and the task event of
 // a framed GET /v1/events stream — are binary frames (frame.go). Payload and Output are opaque serialized buffers (see
 // internal/serial) that ride raw behind a small header, so a hop
-// routes, leases and re-stamps a record without scanning its body
-// (paper §4.6), and a decoder hands the body out as a slice of its
-// input instead of copying it:
+// routes, leases and re-stamps a record without scanning its body or
+// copying it (paper §4.6), and a decoder hands the body out as a slice
+// of its input:
 //
 //	task, result, capacity, task start, event, heartbeat, gap:
-//	  byte    format        0x01 task, 0x03 result, 0x04 capacity,
+//	  byte    format        0x01 task, 0x09 result, 0x04 capacity,
 //	                        0x05 task start, 0x06 event, 0x07 heartbeat,
-//	                        0x08 gap
+//	                        0x08 gap (0x03, the result of builds whose
+//	                        stamps were varints, is ErrLegacyResult)
 //	  uint32  header length 0 for heartbeat and gap, which are nine
 //	                        bytes and say everything by their format
 //	  header  fields, each: byte tag | uvarint length | value
@@ -32,6 +33,26 @@
 // map field is one entry per key, sorted. A value whose first byte is
 // '{' or '[' was written by the JSON codec these frames replaced and
 // fails to decode with ErrLegacyJSON.
+//
+// The two result fields that hops after the manager write — the agent,
+// the forwarder and the service each add their share of Timing, the
+// agent its queue's trace delta — are the stamp section, of a width
+// that does not depend on the values:
+//
+//	tag 4  Timing       length 32: int64 TS | TF | TE | TW
+//	tag 7  TraceDeltas  length 24: int64 Exec | ManagerQueue | AgentQueue
+//
+// so a hop that holds the only reference to a result frame stamps it by
+// overwriting those bytes (RestampResult) and sends the frame it
+// received. A task frame is never rewritten once queued — the store and
+// every hop share its bytes — and a hop keeps it beside its decoded
+// header as a TaskView to send it on as it came; the one field a hop
+// changes, the agent's attempt count after a manager loss, is a new
+// encoding (TaskView.WithAttempt). The service stamps a single-frame
+// submission by writing the full header over the submitted one, in the
+// request body, up against the payload (EncodeTaskInto). One record has
+// one encoding whichever way it was made: Encode(Decode(b)) == b for
+// every b an encoder wrote, patched or not.
 //
 // Both ends of a framed GET /v1/events stream know where a frame ends
 // from its two lengths, so the stream is frames back to back with
