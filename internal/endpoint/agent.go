@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -105,6 +106,16 @@ type managerState struct {
 	// outstanding tasks at this manager, by id.
 	outstanding map[types.TaskID]wire.TaskView
 	suspended   bool
+	// pending is what the scheduling pass in progress assigned here and
+	// has not sent yet. Only scheduleLoop touches it; its storage is
+	// reused from pass to pass.
+	pending []wire.TaskView
+}
+
+// eligible reports whether the manager may be sent a task now. It does
+// not depend on the task: see Agent.schedule.
+func (m *managerState) eligible() bool {
+	return !m.suspended && m.capacity != nil && m.budget > 0 && !m.awaitingAdvert
 }
 
 // traceIDOf returns the task's service-propagated trace id for
@@ -146,16 +157,44 @@ type Agent struct {
 	outbox  []transport.Message
 	outKick chan struct{}
 
+	// schedKick wakes scheduleLoop, the one goroutine that assigns
+	// queued tasks to managers and sends them. Like the outbox above it
+	// keeps a manager link that stopped draining from blocking the
+	// goroutines that read frames or run the watchdog; it also puts the
+	// sends to one manager in queue order and gives the passes one set
+	// of scratch buffers to reuse.
+	schedKick chan struct{}
+
 	mu        sync.Mutex
 	upstream  transport.Conn
 	connected bool
 	managers  map[types.ManagerID]*managerState
+	// order lists the managers in registration order, which is the order
+	// the scheduler considers them in: "first" (first-fit) and the
+	// round-robin rotation mean the same thing on every call.
+	order []*managerState
 	// queue holds each task as the frame it arrived in, which is what a
 	// manager is sent.
-	queue    []wire.TaskView
+	queue    taskQueue
 	inflight map[types.TaskID]*arrivedTask
 	rng      *rand.Rand
 	rrCursor int
+	// starved: the last pass ended with no eligible manager, and no
+	// capacity advertisement (the only thing that makes one eligible)
+	// has arrived since, so arrivals need no pass.
+	starved bool
+	// Scratch of the scheduling pass, kept between passes: the eligible
+	// managers, which of them are warm for the task in hand, the
+	// managers with something pending and the frames of one batch.
+	candidates []*managerState
+	warm       []int
+	touched    []*managerState
+	frames     [][]byte
+	// passes and evals count scheduling passes that got past the O(1)
+	// checks and the managers they examined. Tests hold the scheduler's
+	// cost to them; they are no metric.
+	passes int64
+	evals  int64
 	// advice is the latest scaling advice from the service, with its
 	// local receipt time (staleness is judged against the receiver's
 	// clock so cross-machine skew cannot pin old advice).
@@ -187,12 +226,13 @@ func New(cfg Config) *Agent {
 		logger = slog.Default()
 	}
 	return &Agent{
-		cfg:      cfg,
-		log:      logger.With("endpoint_id", string(cfg.ID)),
-		managers: make(map[types.ManagerID]*managerState),
-		inflight: make(map[types.TaskID]*arrivedTask),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		outKick:  make(chan struct{}, 1),
+		cfg:       cfg,
+		log:       logger.With("endpoint_id", string(cfg.ID)),
+		managers:  make(map[types.ManagerID]*managerState),
+		inflight:  make(map[types.TaskID]*arrivedTask),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		outKick:   make(chan struct{}, 1),
+		schedKick: make(chan struct{}, 1),
 	}
 }
 
@@ -215,10 +255,11 @@ func (a *Agent) Start(ctx context.Context) error {
 		ln.Close()
 		return err
 	}
-	a.wg.Add(3)
+	a.wg.Add(4)
 	go a.acceptLoop()
 	go a.heartbeatLoop()
 	go a.upstreamWriter()
+	go a.scheduleLoop()
 	return nil
 }
 
@@ -332,7 +373,7 @@ func (a *Agent) Stats() (received, completed, requeued int64) {
 func (a *Agent) QueueDepth() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.queue)
+	return a.queue.Len()
 }
 
 // ManagerCount returns the number of registered (live) managers.
@@ -389,7 +430,7 @@ func (a *Agent) Status() *types.EndpointStatus {
 		ID:               a.cfg.ID,
 		Connected:        a.connected,
 		OutstandingTasks: len(a.inflight),
-		QueuedTasks:      len(a.queue),
+		QueuedTasks:      a.queue.Len(),
 		Managers:         len(a.managers),
 		Workers:          workers,
 		IdleWorkers:      idle,
@@ -439,9 +480,7 @@ func (a *Agent) upstreamLoop(conn transport.Conn) {
 				transport.WarnUndecodable(a.log, "forwarder", conn, msg, err)
 				continue
 			}
-			for _, v := range vs {
-				a.enqueue(v)
-			}
+			a.enqueue(vs...)
 		case transport.MsgHeartbeat:
 			// Forwarder liveness: receipt is enough; our own
 			// heartbeats flow from heartbeatLoop.
@@ -500,16 +539,31 @@ func (a *Agent) redial(lost transport.Conn) {
 	}
 }
 
-// enqueue accepts a task from upstream into the internal queue.
-func (a *Agent) enqueue(v wire.TaskView) {
-	t := v.Head
+// enqueue accepts the tasks of one upstream frame into the internal
+// queue: one lock acquisition, one clock reading and at most one
+// scheduling pass per frame, whatever it carries.
+func (a *Agent) enqueue(vs ...wire.TaskView) {
 	a.mu.Lock()
-	a.received++
-	a.queue = append(a.queue, v)
-	a.inflight[t.ID] = &arrivedTask{traceID: traceIDOf(t), arrived: time.Now()}
+	now := time.Now()
+	a.received += int64(len(vs))
+	a.queue.grow(len(vs))
+	for _, v := range vs {
+		a.queue.PushBack(v)
+		a.inflight[v.Head.ID] = &arrivedTask{traceID: traceIDOf(v.Head), arrived: now}
+	}
+	kick := a.wantPassLocked()
 	a.mu.Unlock()
-	a.log.Debug("task received", "task_id", string(t.ID), "function_id", string(t.FunctionID), "attempt", t.Attempt, "trace_id", traceIDOf(t))
-	a.schedule()
+	// Asked once per frame, not per task: a disabled Debug call still
+	// boxes its arguments.
+	if a.log.Enabled(context.Background(), slog.LevelDebug) {
+		for _, v := range vs {
+			t := v.Head
+			a.log.Debug("task received", "task_id", string(t.ID), "function_id", string(t.FunctionID), "attempt", t.Attempt, "trace_id", traceIDOf(t))
+		}
+	}
+	if kick {
+		a.kickSchedule()
+	}
 }
 
 // outboxCap bounds the upstream outbox. A wedged-but-open service
@@ -613,14 +667,17 @@ func (a *Agent) watchdog(stalled bool) {
 	cutoff := now.Add(-time.Duration(a.cfg.HeartbeatMisses) * a.cfg.HeartbeatPeriod)
 	var lost []*managerState
 	a.mu.Lock()
-	for id, m := range a.managers {
+	for _, m := range a.order {
 		if stalled {
 			m.lastSeen = now
 		}
 		if m.lastSeen.Before(cutoff) {
 			lost = append(lost, m)
-			delete(a.managers, id)
+			delete(a.managers, m.id)
 		}
+	}
+	if len(lost) > 0 {
+		a.order = slices.DeleteFunc(a.order, func(m *managerState) bool { return a.managers[m.id] != m })
 	}
 	for _, m := range lost {
 		a.log.Warn("manager lost", "manager_id", string(m.id), "outstanding", len(m.outstanding))
@@ -655,15 +712,18 @@ func (a *Agent) watchdog(stalled bool) {
 			a.requeued++
 			a.log.Debug("task requeued after manager loss", "task_id", string(t.ID), "manager_id", string(m.id), "attempt", v.Head.Attempt, "trace_id", traceIDOf(t))
 			// Head-of-queue so recovered tasks run first.
-			a.queue = append([]wire.TaskView{v}, a.queue...)
+			a.queue.PushFront(v)
 		}
+		// A send to this manager that is failing right now finds nothing
+		// left to requeue a second time (sendPending).
+		clear(m.outstanding)
 	}
 	a.mu.Unlock()
 	for _, m := range lost {
 		m.conn.Close()
 	}
 	if len(lost) > 0 {
-		a.schedule()
+		a.kickSchedule()
 	}
 }
 
@@ -702,6 +762,12 @@ func (a *Agent) manageConn(conn transport.Conn) {
 		outstanding: make(map[types.TaskID]wire.TaskView),
 	}
 	a.mu.Lock()
+	if old := a.managers[reg.ManagerID]; old != nil {
+		// The same id registering again takes its predecessor's place.
+		a.order[slices.Index(a.order, old)] = st
+	} else {
+		a.order = append(a.order, st)
+	}
 	a.managers[reg.ManagerID] = st
 	a.mu.Unlock()
 	a.log.Info("manager registered", "manager_id", string(reg.ManagerID))
@@ -734,8 +800,12 @@ func (a *Agent) manageConn(conn transport.Conn) {
 			st.capacity = cap
 			st.budget = a.capacityBudget(cap)
 			st.awaitingAdvert = false
+			a.starved = false
+			kick := a.wantPassLocked()
 			a.mu.Unlock()
-			a.schedule()
+			if kick {
+				a.kickSchedule()
+			}
 		case transport.MsgRunning:
 			// Worker began executing: relay toward the service so it
 			// can emit TaskRunning and extend the dispatch lease.
@@ -793,105 +863,180 @@ func (a *Agent) finish(st *managerState, res *types.Result, frame []byte) {
 	a.enqueueUpstream(transport.Message{Type: transport.MsgResult, Payload: wire.RestampResult(frame, res)})
 }
 
-// schedule drains the internal queue onto managers using the greedy
-// randomized algorithm of §4.5: prefer managers with a matching
-// deployed container, then any manager with free capacity, choosing
-// randomly among candidates.
-func (a *Agent) schedule() {
-	type dispatch struct {
-		st    *managerState
-		tasks []wire.TaskView
-	}
-	var plan []dispatch
+// wantPassLocked is the O(1) part of scheduling: a pass can dispatch
+// something only if a task is queued and some manager may be eligible.
+// Caller holds a.mu.
+func (a *Agent) wantPassLocked() bool {
+	return a.queue.Len() > 0 && !a.starved
+}
 
-	a.mu.Lock()
-	byManager := make(map[types.ManagerID]*dispatch)
-	var order []types.ManagerID
-	// What stays queued is compacted in place: a deep queue is walked
-	// on every arrival, and must not be copied on every arrival too.
-	remaining := a.queue[:0]
-	for _, t := range a.queue {
-		st := a.pickManagerLocked(t.Head)
-		if st == nil {
-			remaining = append(remaining, t)
-			continue
-		}
-		st.budget--
-		if !a.cfg.BatchDispatch {
-			st.awaitingAdvert = true
-		}
-		st.outstanding[t.Head.ID] = t
-		d := byManager[st.id]
-		if d == nil {
-			d = &dispatch{st: st}
-			byManager[st.id] = d
-			order = append(order, st.id)
-		}
-		d.tasks = append(d.tasks, t)
+// kickSchedule asks scheduleLoop for a pass. It never blocks; kicks
+// that arrive while a pass runs fold into one further pass.
+func (a *Agent) kickSchedule() {
+	select {
+	case a.schedKick <- struct{}{}:
+	default:
 	}
-	clear(a.queue[len(remaining):]) // let go of the frames that left
-	a.queue = remaining
-	for _, id := range order {
-		plan = append(plan, *byManager[id])
-	}
-	a.mu.Unlock()
+}
 
-	for _, d := range plan {
-		// Each task leaves as the frame it arrived in; a batch is those
-		// frames joined.
-		msg := transport.Message{Type: transport.MsgTask, Payload: d.tasks[0].Raw}
-		if len(d.tasks) > 1 {
-			var room [16][]byte // a manager's advertised capacity is a few tasks
-			frames := room[:0]
-			for _, t := range d.tasks {
-				frames = append(frames, t.Raw)
-			}
-			msg = transport.Message{Type: transport.MsgTaskBatch, Payload: wire.JoinTasks(frames)}
-		}
-		if err := d.st.conn.Send(msg); err != nil {
-			// Manager connection failed mid-dispatch: requeue; the
-			// watchdog will clean up the manager itself.
-			a.mu.Lock()
-			for _, t := range d.tasks {
-				delete(d.st.outstanding, t.Head.ID)
-				a.queue = append(a.queue, t)
-			}
-			a.mu.Unlock()
+// scheduleLoop runs the scheduling passes, one at a time.
+func (a *Agent) scheduleLoop() {
+	defer a.wg.Done()
+	for {
+		select {
+		case <-a.schedKick:
+			a.schedule()
+		case <-a.ctx.Done():
+			return
 		}
 	}
 }
 
-// pickManagerLocked selects a manager for one task, or nil when none
-// has capacity. Caller holds a.mu.
-func (a *Agent) pickManagerLocked(t *types.Task) *managerState {
-	key := t.Container.Key()
-	var warm, cold []*managerState // warm: matching container deployed
-	for _, m := range a.managers {
-		if m.suspended || m.capacity == nil || m.budget <= 0 || m.awaitingAdvert {
-			continue
+// schedule is one scheduling pass: it moves tasks from the head of the
+// internal queue onto managers by the greedy randomized algorithm of
+// §4.5 — prefer a manager with the task's container deployed, then any
+// manager with free capacity, choosing among those by the configured
+// policy — and sends each manager what it was assigned, one frame per
+// manager (§4.7's executor-side batching).
+//
+// Whether any manager can take a task does not depend on the task: a
+// cold manager takes any container type, so "no manager for this task"
+// means "no eligible manager" (managerState.eligible), and then none of
+// the tasks queued behind it has one either. The pass therefore builds
+// the eligible set once, in registration order, and runs "while the
+// head of the queue has a manager: pop, assign", dropping a manager
+// from the set when its budget is spent (or, without BatchDispatch,
+// after its one task); it ends when the set or the queue is empty and
+// never looks at a task it does not dispatch. Cost: O(1) when nothing
+// is queued or the last pass starved and no advertisement came since,
+// otherwise O(managers + dispatched × eligible), at any queue depth,
+// with no allocation beyond the joined batch frames. Should
+// eligibility ever come to depend on the task, the loop below is the
+// one place that assumes otherwise: it would have to skip the head, not
+// stop at it.
+//
+// Only scheduleLoop calls it, so passes do not overlap and a manager
+// receives its tasks in queue order.
+func (a *Agent) schedule() {
+	for a.assign() {
+		if a.sendPending() {
+			return
 		}
+		// A send failed and its tasks are back at the head of the queue:
+		// give them to the managers that are left.
+	}
+}
+
+// assign is the locked half of a pass: it fills managerState.pending
+// and a.touched, and reports whether anything was assigned.
+func (a *Agent) assign() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.wantPassLocked() {
+		return false
+	}
+	a.passes++
+	a.evals += int64(len(a.order))
+	candidates := a.candidates[:0]
+	for _, m := range a.order {
+		if m.eligible() {
+			candidates = append(candidates, m)
+		}
+	}
+	for a.queue.Len() > 0 && len(candidates) > 0 {
+		t := a.queue.PopFront()
+		i := a.pickLocked(candidates, t.Head.Container.Key())
+		m := candidates[i]
+		m.budget--
+		if !a.cfg.BatchDispatch {
+			m.awaitingAdvert = true
+		}
+		if !m.eligible() {
+			candidates = slices.Delete(candidates, i, i+1)
+		}
+		m.outstanding[t.Head.ID] = t
+		if len(m.pending) == 0 {
+			a.touched = append(a.touched, m)
+		}
+		m.pending = append(m.pending, t)
+	}
+	a.starved = len(candidates) == 0
+	clear(candidates) // the scratch holds no manager between passes
+	a.candidates = candidates[:0]
+	return len(a.touched) > 0
+}
+
+// pickLocked chooses among the eligible managers for a task of the
+// given container key and returns the choice's index: warm-first (the
+// container already deployed), then the configured policy. candidates
+// is not empty. Caller holds a.mu.
+func (a *Agent) pickLocked(candidates []*managerState, key string) int {
+	a.evals += int64(len(candidates))
+	warm := a.warm[:0]
+	for i, m := range candidates {
 		if m.capacity.Free[key] > 0 {
-			warm = append(warm, m)
-		} else {
-			cold = append(cold, m)
+			warm = append(warm, i)
 		}
 	}
-	candidates := warm
-	if len(candidates) == 0 {
-		candidates = cold
+	a.warm = warm
+	n := len(warm)
+	if n == 0 {
+		n = len(candidates)
 	}
-	if len(candidates) == 0 {
-		return nil
-	}
+	var k int
 	switch a.cfg.Policy {
 	case ScheduleFirstFit:
-		return candidates[0]
+		k = 0
 	case ScheduleRoundRobin:
 		a.rrCursor++
-		return candidates[a.rrCursor%len(candidates)]
+		k = a.rrCursor % n
 	default: // ScheduleRandom
-		return candidates[a.rng.Intn(len(candidates))]
+		k = a.rng.Intn(n)
 	}
+	if len(warm) > 0 {
+		return warm[k]
+	}
+	return k
+}
+
+// sendPending is the unlocked half of a pass: each touched manager is
+// sent what it was assigned, a task as the frame it arrived in and
+// several as those frames joined. It reports whether every send went
+// through. The tasks of a failed send go back to the head of the queue,
+// in their order (they are older than everything queued), and the
+// manager gets nothing more until it advertises again; the watchdog
+// cleans up the manager itself.
+func (a *Agent) sendPending() bool {
+	ok := true
+	for _, m := range a.touched {
+		msg := transport.Message{Type: transport.MsgTask, Payload: m.pending[0].Raw}
+		if len(m.pending) > 1 {
+			for _, t := range m.pending {
+				a.frames = append(a.frames, t.Raw)
+			}
+			msg = transport.Message{Type: transport.MsgTaskBatch, Payload: wire.JoinTasks(a.frames)}
+			clear(a.frames)
+			a.frames = a.frames[:0]
+		}
+		if err := m.conn.Send(msg); err != nil {
+			ok = false
+			a.mu.Lock()
+			m.budget = 0
+			for _, t := range slices.Backward(m.pending) {
+				// Not the ones the watchdog took back meanwhile.
+				if _, mine := m.outstanding[t.Head.ID]; mine {
+					delete(m.outstanding, t.Head.ID)
+					a.queue.PushFront(t)
+				}
+			}
+			a.mu.Unlock()
+		}
+		clear(m.pending) // let go of the frames that left
+		m.pending = m.pending[:0]
+	}
+	clear(a.touched)
+	a.touched = a.touched[:0]
+	return ok
 }
 
 // SuspendManager stops scheduling new tasks to a manager (used before
@@ -908,13 +1053,13 @@ func (a *Agent) SuspendManager(id types.ManagerID) error {
 	return nil
 }
 
-// ManagerIDs lists the registered managers.
+// ManagerIDs lists the registered managers in registration order.
 func (a *Agent) ManagerIDs() []types.ManagerID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ids := make([]types.ManagerID, 0, len(a.managers))
-	for id := range a.managers {
-		ids = append(ids, id)
+	ids := make([]types.ManagerID, 0, len(a.order))
+	for _, m := range a.order {
+		ids = append(ids, m.id)
 	}
 	return ids
 }

@@ -229,6 +229,68 @@ func TestWatchdogReexecutesLostTasks(t *testing.T) {
 	}
 }
 
+// What the watchdog recovers from a lost manager goes to the head of the
+// queue: the next manager with room receives the recovered tasks, on
+// their second attempt, ahead of tasks that arrived after them and never
+// left the queue.
+func TestWatchdogRequeuesLostTasksAtHead(t *testing.T) {
+	ff := newFakeForwarder(t)
+	a, _, _ := newAgentWithManagers(t, ff,
+		Config{BatchDispatch: true, HeartbeatPeriod: 40 * time.Millisecond, HeartbeatMisses: 2}, 0, 0)
+	advertise := func(conn transport.Conn, id types.ManagerID, slots int) {
+		t.Helper()
+		mustSend(t, conn, transport.MsgCapacity, wire.EncodeCapacity(&types.Capacity{ManagerID: id, Slots: slots, Total: 4}))
+	}
+	doomed := dialFakeManager(t, a, "mgr-doomed")
+	silence := keepAlive(doomed)
+	advertise(doomed, "mgr-doomed", 2)
+	waitFor(t, "the doomed manager's advertisement", func() bool { return a.Status().IdleWorkers == 2 })
+	for _, id := range []types.TaskID{"old-1", "old-2"} {
+		sendTask(t, ff, id, fx.HashBody(fx.BodyEcho), nil)
+	}
+	waitFor(t, "the doomed manager to be sent both tasks", func() bool { return a.OutstandingAt("mgr-doomed") == 2 })
+	for _, id := range []types.TaskID{"new-1", "new-2"} {
+		sendTask(t, ff, id, fx.HashBody(fx.BodyEcho), nil)
+	}
+	waitFor(t, "the later arrivals to queue", func() bool { return a.QueueDepth() == 2 })
+
+	silence()
+	waitFor(t, "the watchdog to drop the silent manager", func() bool { return a.ManagerCount() == 0 })
+	if _, _, requeued := a.Stats(); requeued != 2 || a.QueueDepth() != 4 {
+		t.Fatalf("%d requeued, %d queued; want 2 and 4", requeued, a.QueueDepth())
+	}
+
+	heir := dialFakeManager(t, a, "mgr-heir")
+	defer keepAlive(heir)()
+	advertise(heir, "mgr-heir", 4)
+	var got []*types.Task
+	for len(got) < 4 {
+		msg, err := heir.Recv(5 * time.Second)
+		if err != nil {
+			t.Fatalf("%v after %d of 4 tasks", err, len(got))
+		}
+		ts := []*types.Task{nil}
+		if msg.Type == transport.MsgTaskBatch {
+			ts, err = wire.DecodeTasks(msg.Payload)
+		} else {
+			ts[0], err = wire.DecodeTask(msg.Payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ts...)
+	}
+	// The two recovered tasks come out of a map, in either order.
+	recovered := map[types.TaskID]bool{got[0].ID: true, got[1].ID: true}
+	if !recovered["old-1"] || !recovered["old-2"] || got[0].Attempt != 2 || got[1].Attempt != 2 ||
+		got[2].ID != "new-1" || got[3].ID != "new-2" || got[2].Attempt != 1 {
+		t.Fatalf("the heir received %v, want old-1 and old-2 on attempt 2, then new-1, new-2", got)
+	}
+	if n, st := a.OutstandingAt("mgr-heir"), a.Status(); n != 4 || st.OutstandingTasks != 4 || st.QueuedTasks != 0 {
+		t.Fatalf("%d outstanding at the heir, status %+v", n, st)
+	}
+}
+
 func TestDisconnectReconnect(t *testing.T) {
 	ff := newFakeForwarder(t)
 	a, _, _ := newAgentWithManagers(t, ff, Config{BatchDispatch: true}, 1, 2)
@@ -289,9 +351,15 @@ func TestStatusReporting(t *testing.T) {
 	}
 }
 
+// A batch frame from the forwarder is queued and scheduled as one: six
+// tasks onto a manager with room for all of them cost one scheduling
+// pass, and the advertisements that follow find nothing queued and cost
+// none.
 func TestTaskBatchFromForwarder(t *testing.T) {
 	ff := newFakeForwarder(t)
-	newAgentWithManagers(t, ff, Config{BatchDispatch: true}, 1, 4)
+	a, _, _ := newAgentWithManagers(t, ff, Config{BatchDispatch: true}, 1, 8)
+	waitFor(t, "the manager's first advertisement", func() bool { return a.Status().IdleWorkers == 8 })
+	before, _ := a.counters()
 	payload, _ := serial.Serialize("x")
 	var tasks []*types.Task
 	for i := 0; i < 6; i++ {
@@ -311,6 +379,9 @@ func TestTaskBatchFromForwarder(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("only %d of 6 batch tasks completed", seen)
 		}
+	}
+	if after, _ := a.counters(); after-before != 1 {
+		t.Fatalf("%d scheduling passes for one batch frame", after-before)
 	}
 }
 

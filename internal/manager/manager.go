@@ -235,15 +235,25 @@ func (m *Manager) recvLoop() {
 				transport.WarnUndecodable(m.log, "agent", m.conn, msg, err)
 				continue
 			}
-			m.accept(t)
+			if m.accept(t) {
+				m.advertise()
+			}
 		case transport.MsgTaskBatch:
 			ts, err := wire.DecodeTasks(msg.Payload)
 			if err != nil {
 				transport.WarnUndecodable(m.log, "agent", m.conn, msg, err)
 				continue
 			}
+			// One advertisement for the frame, not one per task of it:
+			// each would report a capacity the next supersedes.
+			started := false
 			for _, t := range ts {
-				m.accept(t)
+				if m.accept(t) {
+					started = true
+				}
+			}
+			if started {
+				m.advertise()
 			}
 		case transport.MsgHeartbeat:
 			// Agent liveness probe; connection-level receipt is enough.
@@ -256,7 +266,9 @@ func (m *Manager) recvLoop() {
 
 // accept routes one task: to an idle worker with a matching container,
 // else deploys a worker on demand (§4.5), else buffers in the backlog.
-func (m *Manager) accept(t *types.Task) {
+// It reports whether a worker took the task, which changes what the
+// manager should advertise.
+func (m *Manager) accept(t *types.Task) bool {
 	spec := t.Container
 	if spec.IsZero() {
 		spec = m.cfg.DefaultContainer
@@ -292,11 +304,11 @@ func (m *Manager) accept(t *types.Task) {
 	if w != nil && w.TrySubmit(t) {
 		m.inflight++
 		m.mu.Unlock()
-		m.advertise()
-		return
+		return true
 	}
 	m.backlog = append(m.backlog, t)
 	m.mu.Unlock()
+	return false
 }
 
 // idleWorkerLocked finds an idle worker whose container matches spec.

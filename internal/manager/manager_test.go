@@ -3,6 +3,7 @@ package manager
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -73,7 +74,9 @@ func newTestManager(t *testing.T, fa *fakeAgent, cfg Config) *Manager {
 	rt.RegisterBuiltins()
 	cfg.AgentNetwork = "inproc"
 	cfg.AgentAddr = fa.ln.Addr()
-	cfg.HeartbeatPeriod = 50 * time.Millisecond
+	if cfg.HeartbeatPeriod == 0 {
+		cfg.HeartbeatPeriod = 50 * time.Millisecond
+	}
 	cfg.Runtime = rt
 	cfg.Containers = container.NewRuntime(container.Config{System: "ec2", TimeScale: 0})
 	m := New(cfg)
@@ -207,6 +210,60 @@ func TestManagerHandlesTaskBatch(t *testing.T) {
 	}
 	if m.Completed() != 8 {
 		t.Fatalf("Completed = %d", m.Completed())
+	}
+}
+
+// A batch frame is answered with one capacity advertisement, not one per
+// task a worker took: with no heartbeat in the way, a batch of 8 onto 4
+// idle workers and 4 prefetch places costs one advertisement for the
+// frame and one per result, and the last of them says what the manager
+// itself reports once everything is done.
+func TestManagerAdvertisesOncePerBatchFrame(t *testing.T) {
+	fa := newFakeAgent(t)
+	m := newTestManager(t, fa, Config{
+		ID: "mgr-1", MaxWorkers: 4, PrewarmWorkers: 4, Prefetch: 4, HeartbeatPeriod: time.Hour,
+	})
+	fa.expect(t, transport.MsgRegister, 2*time.Second)
+	fa.expect(t, transport.MsgCapacity, 2*time.Second) // Start's own
+
+	payload, _ := serial.Serialize("x")
+	var tasks []*types.Task
+	for i := 0; i < 8; i++ {
+		tasks = append(tasks, &types.Task{ID: types.TaskID(fmt.Sprintf("t%d", i)), BodyHash: echoHash(), Payload: payload})
+	}
+	if err := fa.conn.Send(transport.Message{Type: transport.MsgTaskBatch, Payload: wire.EncodeTasks(tasks)}); err != nil {
+		t.Fatal(err)
+	}
+	results, adverts := 0, 0
+	var last *types.Capacity
+	deadline := time.After(10 * time.Second)
+	// Each result is followed by its advertisement, so the ninth
+	// advertisement is the last message of the exchange.
+	for results < 8 || adverts < 9 {
+		select {
+		case msg := <-fa.msgs:
+			switch msg.Type {
+			case transport.MsgResult:
+				results++
+			case transport.MsgCapacity:
+				adverts++
+				var err error
+				if last, err = wire.DecodeCapacity(msg.Payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case <-deadline:
+			t.Fatalf("%d of 8 results and %d of 9 advertisements", results, adverts)
+		}
+	}
+	select {
+	case msg := <-fa.msgs:
+		t.Fatalf("a %s message beyond 8 results and 9 advertisements", msg.Type)
+	case <-time.After(50 * time.Millisecond):
+	}
+	want := m.Capacity()
+	if last.Free["none"] != 4 || last.Prefetch != 4 || last.Slots != 0 || !reflect.DeepEqual(last, want) {
+		t.Fatalf("last advertisement %+v, Capacity() %+v", last, want)
 	}
 }
 
