@@ -21,8 +21,9 @@ vet:
 # via cmd/funcx-vet): exhaustive protocol/opcode switches (the task
 # record's transition function among them), the monotonic-clock trace
 # discipline, the metric-family registry, context flow through request
-# paths, and select-guarded channel sends on hot paths. Nonzero on any
-# unsuppressed finding; see README "Static analysis".
+# paths, select-guarded channel sends on hot paths, and Debug calls
+# asked for only when debug is on. Nonzero on any unsuppressed finding;
+# see README "Static analysis".
 lint:
 	$(GO) run ./cmd/funcx-vet ./...
 

@@ -7,8 +7,9 @@
 // The analyzers encode invariants this codebase otherwise maintains by
 // hand: exhaustive protocol/opcode switches, the monotonic-clock trace
 // discipline, the metric-family registry, context flow through request
-// paths, and select-guarded channel sends on hot paths. See the README
-// "Static analysis" section.
+// paths, select-guarded channel sends on hot paths, and debug logging
+// that costs nothing while debug is off. See the README "Static
+// analysis" section.
 package analysis
 
 import (

@@ -42,13 +42,18 @@ func TestBoundedChanGolden(t *testing.T) {
 	runGolden(t, AnalyzerBoundedChan, "boundedchan_ok", "funcx/internal/endpoint", Options{})
 }
 
+func TestDebugLogGolden(t *testing.T) {
+	runGolden(t, AnalyzerDebugLog, "debuglog_bad", "funcx/internal/endpoint", Options{})
+	runGolden(t, AnalyzerDebugLog, "debuglog_ok", "funcx/internal/endpoint", Options{})
+}
+
 // Out-of-scope packages produce nothing: every path-scoped analyzer
 // ignores a package outside its configured import paths even when the
 // code would otherwise violate it.
 func TestScopedAnalyzersIgnoreForeignPackages(t *testing.T) {
-	for _, dir := range []string{"ctxflow_bad", "boundedchan_bad", "clock_trace_bad"} {
+	for _, dir := range []string{"ctxflow_bad", "boundedchan_bad", "clock_trace_bad", "debuglog_bad"} {
 		pkg := loadGolden(t, dir, "funcx/test/outofscope")
-		for _, a := range []*Analyzer{AnalyzerCtxFlow, AnalyzerBoundedChan, AnalyzerClockDiscipline} {
+		for _, a := range []*Analyzer{AnalyzerCtxFlow, AnalyzerBoundedChan, AnalyzerClockDiscipline, AnalyzerDebugLog} {
 			if diags := Run([]*Package{pkg}, []*Analyzer{a}, Options{}); len(diags) != 0 {
 				t.Errorf("%s on out-of-scope %s: unexpected diagnostics %v", a.Name, dir, diags)
 			}

@@ -8,5 +8,6 @@ func All() []*Analyzer {
 		AnalyzerMetricNames,
 		AnalyzerCtxFlow,
 		AnalyzerBoundedChan,
+		AnalyzerDebugLog,
 	}
 }

@@ -131,7 +131,7 @@ func traceIDOf(t *types.Task) string {
 // arrivedTask tracks a task between arrival at the agent and result
 // departure, for the TE timing component and log correlation.
 type arrivedTask struct {
-	traceID string
+	task    *types.Task
 	arrived time.Time
 }
 
@@ -549,7 +549,7 @@ func (a *Agent) enqueue(vs ...wire.TaskView) {
 	a.queue.grow(len(vs))
 	for _, v := range vs {
 		a.queue.PushBack(v)
-		a.inflight[v.Head.ID] = &arrivedTask{traceID: traceIDOf(v.Head), arrived: now}
+		a.inflight[v.Head.ID] = &arrivedTask{task: v.Head, arrived: now}
 	}
 	kick := a.wantPassLocked()
 	a.mu.Unlock()
@@ -710,7 +710,9 @@ func (a *Agent) watchdog(stalled bool) {
 			// received says the old attempt, so this one is re-encoded.
 			v = v.WithAttempt(t.Attempt + 1)
 			a.requeued++
-			a.log.Debug("task requeued after manager loss", "task_id", string(t.ID), "manager_id", string(m.id), "attempt", v.Head.Attempt, "trace_id", traceIDOf(t))
+			if a.log.Enabled(context.Background(), slog.LevelDebug) {
+				a.log.Debug("task requeued after manager loss", "task_id", string(t.ID), "manager_id", string(m.id), "attempt", v.Head.Attempt, "trace_id", traceIDOf(t))
+			}
 			// Head-of-queue so recovered tasks run first.
 			a.queue.PushFront(v)
 		}
@@ -811,12 +813,12 @@ func (a *Agent) manageConn(conn transport.Conn) {
 			// can emit TaskRunning and extend the dispatch lease.
 			a.enqueueUpstream(msg)
 		case transport.MsgResult:
-			res, err := wire.DecodeResult(msg.Payload)
+			v, err := wire.ViewResult(msg.Payload)
 			if err != nil {
 				transport.WarnUndecodable(a.log, "manager", conn, msg, err)
 				continue
 			}
-			a.finish(st, res, msg.Payload)
+			a.finish(st, &v)
 		}
 	}
 }
@@ -831,36 +833,42 @@ func (a *Agent) capacityBudget(c *types.Capacity) int {
 }
 
 // finish processes a result from a manager: stamps TE timing, clears
-// bookkeeping, forwards upstream. frame is the manager's encoding of
-// res, which Send handed over: the stamps go into it where it lies and
-// the same bytes travel on.
-func (a *Agent) finish(st *managerState, res *types.Result, frame []byte) {
-	var traceID string
+// bookkeeping, forwards upstream. v views the manager's frame, which
+// Send handed over: the stamps go into it where they lie and the same
+// bytes travel on.
+func (a *Agent) finish(st *managerState, v *wire.ResultView) {
+	var task *types.Task
 	a.mu.Lock()
-	delete(st.outstanding, res.TaskID)
-	if fl, ok := a.inflight[res.TaskID]; ok {
-		traceID = fl.traceID
-		delete(a.inflight, res.TaskID)
+	// Each delete is by the key its map holds: a key converted from the
+	// frame's bytes would be a copy, where a lookup by them is not.
+	if sent, ok := st.outstanding[types.TaskID(v.TaskID)]; ok {
+		delete(st.outstanding, sent.Head.ID)
+	}
+	if fl, ok := a.inflight[types.TaskID(v.TaskID)]; ok {
+		task = fl.task
+		delete(a.inflight, task.ID)
 		// TE: time inside the endpoint excluding execution (§5.1).
-		te := time.Since(fl.arrived) - res.Timing.TW
+		te := time.Since(fl.arrived) - v.Timing.TW
 		if te < 0 {
 			te = 0
 		}
-		res.Timing.TE = te
-		if res.Trace != nil {
+		v.Timing.TE = te
+		if v.Traced {
 			// Agent-queue trace delta: endpoint time outside the
 			// manager and worker, measured on this machine's clock.
-			aq := te - res.Trace.ManagerQueue
+			aq := te - v.Trace.ManagerQueue
 			if aq < 0 {
 				aq = 0
 			}
-			res.Trace.AgentQueue = aq
+			v.Trace.AgentQueue = aq
 		}
 	}
 	a.completed++
 	a.mu.Unlock()
-	a.log.Debug("task completed", "task_id", string(res.TaskID), "manager_id", string(st.id), "failed", res.Err != "", "trace_id", traceID)
-	a.enqueueUpstream(transport.Message{Type: transport.MsgResult, Payload: wire.RestampResult(frame, res)})
+	if a.log.Enabled(context.Background(), slog.LevelDebug) {
+		a.log.Debug("task completed", "task_id", string(v.TaskID), "manager_id", string(st.id), "failed", v.Failed, "trace_id", traceIDOf(task))
+	}
+	a.enqueueUpstream(transport.Message{Type: transport.MsgResult, Payload: v.Restamp()})
 }
 
 // wantPassLocked is the O(1) part of scheduling: a pass can dispatch

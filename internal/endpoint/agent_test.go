@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -543,5 +544,94 @@ func TestWatchdogForgivesItsOwnStall(t *testing.T) {
 		if n := a.ManagerCount(); n != 2 {
 			t.Fatalf("%d of 2 managers left after the agent stalled", n)
 		}
+	}
+}
+
+// The agent forwards a manager's result frame stamped where it lies:
+// the bytes are the ones RestampResult gives for the decoded result
+// carrying the same stamps. A frame with no Timing section gains one
+// with TE, which takes a re-encode; a result for a task the agent does
+// not hold goes on unchanged.
+func TestFinishForwardsRestampedFrame(t *testing.T) {
+	a := New(Config{ID: "ep-1"})
+	st := a.register("m1", &fakeConn{drop: true}, 1)
+	for _, c := range []struct {
+		name string
+		res  types.Result
+		held bool
+	}{
+		{"timing and trace", types.Result{TaskID: "t1", Output: []byte("out"), Timing: types.Timing{TW: time.Microsecond},
+			Trace: &types.TraceDeltas{Exec: time.Microsecond, ManagerQueue: time.Nanosecond}}, true},
+		{"timing", types.Result{TaskID: "t2", Err: "boom", Timing: types.Timing{TW: time.Microsecond}}, true},
+		{"no timing", types.Result{TaskID: "t3", Output: []byte("out")}, true},
+		{"trace, no timing", types.Result{TaskID: "t4", Trace: &types.TraceDeltas{}}, true},
+		{"not held", types.Result{TaskID: "t5", Timing: types.Timing{TW: time.Microsecond}}, false},
+	} {
+		if c.held {
+			sent := views(c.res.TaskID)[0]
+			a.inflight[c.res.TaskID] = &arrivedTask{task: sent.Head, arrived: time.Now().Add(-time.Millisecond)}
+			st.outstanding[c.res.TaskID] = sent
+		}
+		frame := wire.EncodeResult(&c.res)
+		orig := append([]byte(nil), frame...)
+		a.outbox = a.outbox[:0]
+		v, err := wire.ViewResult(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.finish(st, &v)
+		out := a.outbox[0].Payload
+
+		stamped, err := wire.DecodeResult(out)
+		if err != nil {
+			t.Fatalf("%s: forwarded frame does not decode: %v", c.name, err)
+		}
+		want, _ := wire.DecodeResult(orig)
+		if c.held {
+			if stamped.Timing.TE < time.Millisecond-c.res.Timing.TW {
+				t.Errorf("%s: TE = %v, want the time since arrival less TW", c.name, stamped.Timing.TE)
+			}
+			want.Timing.TE = stamped.Timing.TE
+			if want.Trace != nil {
+				want.Trace.AgentQueue = max(stamped.Timing.TE-want.Trace.ManagerQueue, 0)
+			}
+		}
+		if inPlace := &out[0] == &frame[0]; inPlace != (c.res.Timing != types.Timing{}) {
+			t.Errorf("%s: stamped in place: %v", c.name, inPlace)
+		}
+		if wantBytes := wire.RestampResult(orig, want); string(out) != string(wantBytes) {
+			t.Errorf("%s: forwarded %q, want RestampResult's %q", c.name, out, wantBytes)
+		}
+		if _, ok := a.inflight[c.res.TaskID]; ok || len(st.outstanding) != 0 {
+			t.Errorf("%s: the task is still held", c.name)
+		}
+	}
+}
+
+// At Debug level the agent still logs "task completed" for every
+// result, with the attributes it always had.
+func TestDebugRecordTaskCompleted(t *testing.T) {
+	logger, logs := testlog.NewDebug()
+	ff := newFakeForwarder(t)
+	_, mgrs, _ := newAgentWithManagers(t, ff, Config{BatchDispatch: true, Logger: logger}, 1, 1)
+	payload, _ := serial.Serialize("hi")
+	const traceID = "0123456789abcdef0123456789abcdef"
+	task := &types.Task{ID: "t1", BodyHash: fx.HashBody(fx.BodyEcho), Payload: payload, Attempt: 1,
+		Trace: &types.TraceContext{Sampled: true, TraceID: traceID}}
+	if err := ff.conn.Send(transport.Message{Type: transport.MsgTask, Payload: wire.EncodeTask(task)}); err != nil {
+		t.Fatal(err)
+	}
+	ff.waitResult(t, 5*time.Second)
+
+	want := map[string]any{
+		"level": "DEBUG", "msg": "task completed", "endpoint_id": "ep-1", "task_id": "t1",
+		"manager_id": string(mgrs[0].ID()), "failed": false, "trace_id": traceID,
+	}
+	got, err := logs.Records("task completed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("task completed records = %v, want one %v", got, want)
 	}
 }

@@ -13,9 +13,11 @@
 package forwarder
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -68,7 +70,10 @@ type Config struct {
 	// OnDispatched, when set, fires after a task is shipped to the
 	// connected agent (the service advances the task's lifecycle
 	// status and publishes the "dispatched" event here). Redeliveries
-	// after an agent reconnect fire it again, once per dispatch.
+	// after an agent reconnect fire it again, once per dispatch. It does
+	// not fire for a task whose lease went while the send was in flight
+	// (a disconnect offered the task to OnReclaim, or its result came
+	// back), nor for a send on a connection a new registration replaced.
 	OnDispatched func(*types.Task)
 	// OnRunning, when set, fires when the agent relays a worker's
 	// execution-start signal for a dispatched task (the service
@@ -376,22 +381,8 @@ func (f *Forwarder) handleAgent(conn transport.Conn) {
 		case transport.MsgHeartbeat:
 			// lastSeen refreshed above.
 		case transport.MsgRunning:
-			start, err := wire.DecodeTaskStart(msg.Payload)
-			if err != nil {
+			if err := f.running(msg.Payload); err != nil {
 				transport.WarnUndecodable(f.log, "agent", conn, msg, err)
-				continue
-			}
-			f.mu.Lock()
-			f.lastProgress = time.Now()
-			l, ok := f.leases[start.TaskID]
-			if ok {
-				// Execution began: re-arm the lease so the task now has
-				// its full walltime (plus slack) to produce a result.
-				l.deadline = time.Now().Add(f.cfg.DispatchLease + l.task.Walltime)
-			}
-			f.mu.Unlock()
-			if ok && f.cfg.OnRunning != nil {
-				f.cfg.OnRunning(start.TaskID)
 			}
 		case transport.MsgStatus:
 			if st, err := wire.DecodeStatus(msg.Payload); err == nil {
@@ -408,6 +399,30 @@ func (f *Forwarder) handleAgent(conn transport.Conn) {
 			f.storeResult(res, msg.Payload)
 		}
 	}
+}
+
+// running takes a worker's execution-start signal, relayed by the
+// agent: execution began, so the task's lease is re-armed to give it
+// its full walltime (plus slack) to produce a result, and the service
+// is told. The id is read where it lies in the frame; the service is
+// handed the lease's own.
+func (f *Forwarder) running(frame []byte) error {
+	id, err := wire.TaskStartID(frame)
+	if err != nil {
+		return err
+	}
+	now := time.Now()
+	f.mu.Lock()
+	f.lastProgress = now
+	l, ok := f.leases[types.TaskID(id)]
+	if ok {
+		l.deadline = now.Add(f.cfg.DispatchLease + l.task.Walltime)
+	}
+	f.mu.Unlock()
+	if ok && f.cfg.OnRunning != nil {
+		f.cfg.OnRunning(l.task.ID)
+	}
+	return nil
 }
 
 // disconnect marks the agent gone and recovers every dispatched task.
@@ -429,6 +444,10 @@ func (f *Forwarder) disconnect(reason string) {
 	for _, l := range f.leases {
 		drained = append(drained, l)
 	}
+	// In dispatch order (a receipt is numbered at its pop), so a new
+	// owner that requeues them as offered keeps the order they were
+	// sent in.
+	slices.SortFunc(drained, func(a, b *lease) int { return cmp.Compare(a.receipt, b.receipt) })
 	clear(f.leases)
 	clear(f.tfStart)
 	f.mu.Unlock()
@@ -531,9 +550,9 @@ func (f *Forwarder) dispatchLoop() {
 		default:
 		}
 		f.mu.Lock()
-		conn := f.conn
+		connected := f.conn != nil
 		f.mu.Unlock()
-		if conn == nil {
+		if !connected {
 			// No agent: offer queued tasks to the failover path, then
 			// wait for one to attach (or the next offload round).
 			f.offloadOrphans()
@@ -561,48 +580,62 @@ func (f *Forwarder) dispatchLoop() {
 			f.cfg.TaskQueue.Ack(receipt) //nolint:errcheck // drop undecodable item
 			continue
 		}
+		// The lease is taken before the send, under the lock disconnect
+		// drains leases under: an agent that drops while the frame is in
+		// flight gives this task back with the ones sent before it, in
+		// queue order.
+		l := &lease{task: task, receipt: receipt, deadline: time.Now().Add(f.cfg.DispatchLease + task.Walltime)}
+		f.mu.Lock()
+		conn := f.conn
+		if conn != nil {
+			f.leases[task.ID] = l
+		}
+		f.mu.Unlock()
+		if conn == nil {
+			// The agent left while the loop waited for a task: nothing
+			// was sent, and the task goes back where it was.
+			f.cfg.TaskQueue.Nack(receipt) //nolint:errcheck
+			continue
+		}
 		// Simulated WAN propagation toward the endpoint.
 		if f.cfg.Lat != nil {
 			f.cfg.Lat.Delay()
 		}
-		if err := conn.Send(transport.Message{Type: transport.MsgTask, Payload: data}); err != nil {
-			// Send failed: agent just vanished. Return the task —
+		err = conn.Send(transport.Message{Type: transport.MsgTask, Payload: data})
+		f.mu.Lock()
+		// A disconnect or a lease sweep that ran meanwhile took the
+		// lease and recovered the task; this loop no longer owns it.
+		held := f.leases[task.ID] == l
+		if held && err != nil {
+			delete(f.leases, task.ID)
+		}
+		dispatched := held && err == nil && f.conn == conn
+		if dispatched {
+			f.tfStart[task.ID] = time.Since(popDone)
+			f.dispatched++
+		}
+		f.mu.Unlock()
+		if err != nil {
+			// Send failed: the agent just vanished. Return the task —
 			// except an at-most-once task, which may have partially
 			// reached the agent and must never risk double delivery.
-			f.recoverUnleased(task, receipt, "send failed")
+			if held {
+				f.recoverUnleased(task, receipt, "send failed")
+			}
 			f.disconnectIfCurrent(conn, "send failed")
 			continue
 		}
-		f.mu.Lock()
-		if f.conn != conn {
-			// Disconnected while sending: disconnect() already
-			// recovered its lease snapshot, which missed this one —
-			// recover the task ourselves so it is not stranded. The
-			// agent did receive it, so at-most-once handling applies.
-			f.mu.Unlock()
-			f.recoverUnleased(task, receipt, "agent connection lost")
-			continue
-		}
-		f.leases[task.ID] = &lease{
-			task:     task,
-			receipt:  receipt,
-			deadline: time.Now().Add(f.cfg.DispatchLease + task.Walltime),
-		}
-		f.tfStart[task.ID] = time.Since(popDone)
-		f.dispatched++
-		f.mu.Unlock()
-		if f.cfg.OnDispatched != nil {
+		if dispatched && f.cfg.OnDispatched != nil {
 			f.cfg.OnDispatched(task)
 		}
 	}
 }
 
-// recoverUnleased handles a dispatch that failed before its lease was
-// recorded (send error, or a disconnect racing the bookkeeping). The
-// task may or may not have reached the agent, so an at-most-once task
-// is offered to OnReclaim — which retires it as lost rather than risk
-// a second delivery — while ordinary tasks are returned to the queue
-// for redelivery.
+// recoverUnleased handles a dispatch whose send failed, its lease
+// taken back. The task may or may not have reached the agent, so an
+// at-most-once task is offered to OnReclaim — which retires it as lost
+// rather than risk a second delivery — while ordinary tasks are
+// returned to the queue for redelivery.
 func (f *Forwarder) recoverUnleased(task *types.Task, receipt uint64, reason string) {
 	if task.AtMostOnce && f.cfg.OnReclaim != nil && f.cfg.OnReclaim(task, "agent "+reason) {
 		f.cfg.TaskQueue.Ack(receipt) //nolint:errcheck

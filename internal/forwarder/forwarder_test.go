@@ -3,6 +3,7 @@ package forwarder
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"funcx/internal/store"
 	"funcx/internal/testlog"
 	"funcx/internal/transport"
+	"funcx/internal/transport/transporttest"
 	"funcx/internal/types"
 	"funcx/internal/wire"
 )
@@ -32,7 +34,9 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 		frames:  make(chan []byte, 16),
 	}
 	cfg.EndpointID = "ep-1"
-	cfg.Network = "inproc"
+	if cfg.Network == "" {
+		cfg.Network = "inproc"
+	}
 	cfg.TaskQueue = h.queue
 	if cfg.OnResult == nil {
 		cfg.OnResult = func(r *types.Result, frame []byte) { h.frames <- frame; h.results <- r }
@@ -222,6 +226,144 @@ func TestDisconnectRequeuesOutstanding(t *testing.T) {
 	task1, _ := wire.DecodeTask(m1.Payload)
 	if task1.ID != "t1" {
 		t.Fatalf("redelivery order: first = %s, want t1", task1.ID)
+	}
+}
+
+// heldTask waits for the forwarder's send of a task frame to be held
+// on n, past the heartbeats held beside it, and returns the task.
+func heldTask(t *testing.T, n *transporttest.Net) *types.Task {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for {
+		select {
+		case msg := <-n.Held():
+			if msg.Type != transport.MsgTask {
+				continue
+			}
+			task, err := wire.DecodeTask(msg.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return task
+		case <-deadline:
+			t.Fatal("no task send was held")
+			return nil
+		}
+	}
+}
+
+// An agent that drops while a task frame is in flight to it — the
+// frame delivered, the forwarder's Send not yet returned — gets that
+// task back behind the one dispatched before it, on every run: the
+// lease is taken before the send, so the drop requeues the whole
+// window in queue order.
+func TestDropDuringSendRedeliversInOrder(t *testing.T) {
+	n := transporttest.NewNet()
+	// Heartbeats slow enough, and misses many enough, that the test's
+	// silent agent is dropped only when it closes its link.
+	h := newHarness(t, Config{Network: n.Name(), HeartbeatPeriod: 200 * time.Millisecond, HeartbeatMisses: 100})
+	t.Cleanup(n.ReleaseSends) // before the forwarder stops
+	conn := h.connectAgent(t, "")
+	pushTask(t, h.queue, "t1")
+	recvType(t, conn, transport.MsgTask, 2*time.Second)
+
+	n.HoldSends()
+	pushTask(t, h.queue, "t2")
+	if task := heldTask(t, n); task.ID != "t2" {
+		t.Fatalf("held send of %s, want t2", task.ID)
+	}
+	recvType(t, conn, transport.MsgTask, 2*time.Second) // the agent has t2
+	conn.Close()
+	waitFor(t, "the forwarder to see the drop", func() bool { return !h.fwd.Connected() })
+	n.ReleaseSends()
+	waitFor(t, "both tasks back in the queue", func() bool { return h.queue.Len() == 2 })
+
+	conn2 := h.connectAgent(t, "")
+	for _, want := range []types.TaskID{"t1", "t2"} {
+		m := recvType(t, conn2, transport.MsgTask, 2*time.Second)
+		if task, _ := wire.DecodeTask(m.Payload); task.ID != want {
+			t.Fatalf("redelivery order: got %s, want %s", task.ID, want)
+		}
+	}
+}
+
+// An at-most-once task in flight when its agent drops is handed to
+// OnReclaim, which lands it lost, exactly once, and is never
+// redelivered.
+func TestDropDuringSendLosesAtMostOnceTask(t *testing.T) {
+	n := transporttest.NewNet()
+	reclaimed := make(chan *types.Task, 4)
+	h := newHarness(t, Config{
+		Network: n.Name(), HeartbeatPeriod: 200 * time.Millisecond, HeartbeatMisses: 100,
+		OnReclaim: func(task *types.Task, _ string) bool {
+			if !task.AtMostOnce {
+				return false
+			}
+			reclaimed <- task
+			return true
+		},
+	})
+	t.Cleanup(n.ReleaseSends) // before the forwarder stops
+	conn := h.connectAgent(t, "")
+	n.HoldSends()
+	if err := h.queue.Push(wire.EncodeTask(&types.Task{ID: "once", AtMostOnce: true})); err != nil {
+		t.Fatal(err)
+	}
+	heldTask(t, n)
+	recvType(t, conn, transport.MsgTask, 2*time.Second)
+	conn.Close()
+	waitFor(t, "the forwarder to see the drop", func() bool { return !h.fwd.Connected() })
+	n.ReleaseSends()
+	select {
+	case task := <-reclaimed:
+		if task.ID != "once" {
+			t.Fatalf("reclaimed %s", task.ID)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the in-flight at-most-once task was not reclaimed")
+	}
+	waitFor(t, "the receipt to be acknowledged", func() bool { return h.queue.PendingLen() == 0 })
+	if h.queue.Len() != 0 {
+		t.Fatalf("at-most-once task requeued: queue len %d", h.queue.Len())
+	}
+	if got := h.fwd.Reclaimed(); got != 1 {
+		t.Fatalf("Reclaimed = %d, want 1", got)
+	}
+	select {
+	case task := <-reclaimed:
+		t.Fatalf("%s reclaimed twice", task.ID)
+	default:
+	}
+}
+
+// A dropped agent's tasks are offered to OnReclaim in the order they
+// were dispatched, so the service, which requeues each one as it is
+// offered, redelivers them in that order too.
+func TestDropOffersLeasesInDispatchOrder(t *testing.T) {
+	offered := make(chan types.TaskID, 32)
+	h := newHarness(t, Config{OnReclaim: func(task *types.Task, _ string) bool {
+		offered <- task.ID
+		return true
+	}})
+	conn := h.connectAgent(t, "")
+	var ids []types.TaskID
+	for i := 0; i < 16; i++ {
+		id := types.TaskID(fmt.Sprint("t", i))
+		ids = append(ids, id)
+		pushTask(t, h.queue, id)
+		recvType(t, conn, transport.MsgTask, 2*time.Second)
+	}
+	waitFor(t, "every lease", func() bool { return h.fwd.Outstanding() == len(ids) })
+	conn.Close()
+	for _, want := range ids {
+		select {
+		case got := <-offered:
+			if got != want {
+				t.Fatalf("offered %s, want %s (dispatch order %v)", got, want, ids)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s was never offered", want)
+		}
 	}
 }
 

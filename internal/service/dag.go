@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -558,7 +559,9 @@ func (s *Service) sweepFinishedDAGs(cutoff time.Time) int {
 		s.mu.Lock()
 		s.dagsEvicted += int64(evicted)
 		s.mu.Unlock()
-		s.log.Debug("evicted finished dags", "count", evicted)
+		if s.log.Enabled(s.ctx, slog.LevelDebug) {
+			s.log.Debug("evicted finished dags", "count", evicted)
+		}
 	}
 	return evicted
 }

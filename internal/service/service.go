@@ -1250,10 +1250,12 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 	s.mu.Lock()
 	s.submitted++
 	s.mu.Unlock()
-	s.log.Debug("task placed",
-		"task_id", string(task.ID), "endpoint_id", string(epID),
-		"group_id", string(sub.GroupID), "function_id", string(sub.FunctionID),
-		"trace_id", trace.TraceID(task.ID, p.dagID))
+	if s.log.Enabled(s.ctx, slog.LevelDebug) {
+		s.log.Debug("task placed",
+			"task_id", string(task.ID), "endpoint_id", string(epID),
+			"group_id", string(sub.GroupID), "function_id", string(sub.FunctionID),
+			"trace_id", trace.TraceID(task.ID, p.dagID))
+	}
 	return task.ID, epID, false, nil
 }
 
@@ -1297,9 +1299,11 @@ func (s *Service) land(ev taskrec.Event) bool {
 	// event fan-out; folding the timeline into the stage histograms is
 	// what makes the task visible to GET /v1/tasks/{id}/trace.
 	s.Trace.Finish(ev.ID)
-	s.log.Debug("task retired",
-		"task_id", string(ev.ID), "endpoint_id", string(rec.Endpoint()), "status", string(rec.Status()),
-		"trace_id", trace.TraceID(ev.ID, ev.DAGID))
+	if s.log.Enabled(s.ctx, slog.LevelDebug) {
+		s.log.Debug("task retired",
+			"task_id", string(ev.ID), "endpoint_id", string(rec.Endpoint()), "status", string(rec.Status()),
+			"trace_id", trace.TraceID(ev.ID, ev.DAGID))
+	}
 	// After the publish, and with no lock held: each release or
 	// dependency failure the step unlocks lands a record of its own.
 	s.applyDAGResult(ev.ID, rec.Status(), rec.Endpoint(), ev.Frame)

@@ -21,6 +21,8 @@ import (
 	"funcx/internal/registry"
 	"funcx/internal/store"
 	"funcx/internal/taskrec"
+	"funcx/internal/testlog"
+	"funcx/internal/trace"
 	"funcx/internal/types"
 	"funcx/internal/wire"
 )
@@ -871,5 +873,41 @@ func TestPayloadLimitDisabled(t *testing.T) {
 		api.SubmitRequest{FunctionID: fnID, EndpointID: epID, Payload: big}, nil)
 	if code != http.StatusAccepted {
 		t.Fatalf("unlimited payload = %d", code)
+	}
+}
+
+// At Debug level the service still logs "task placed" and "task
+// retired" for every task, with the attributes they always had.
+func TestDebugRecordsPlacedAndRetired(t *testing.T) {
+	logger, logs := testlog.NewDebug()
+	svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, Logger: logger})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(svc)
+	t.Cleanup(srv.Close)
+	fnID, epID := registerFixture(t, srv, svc.MintUserToken("alice", auth.ScopeAll))
+	id, _, _, err := svc.SubmitTaskAt("alice", Submission{FunctionID: fnID, EndpointID: epID}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeTask(svc, id, []byte("out"))
+
+	traceID := trace.TraceID(id, "")
+	for msg, want := range map[string]map[string]any{
+		"task placed": {
+			"level": "DEBUG", "msg": "task placed", "task_id": string(id), "endpoint_id": string(epID),
+			"group_id": "", "function_id": string(fnID), "trace_id": traceID,
+		},
+		"task retired": {
+			"level": "DEBUG", "msg": "task retired", "task_id": string(id), "endpoint_id": string(epID),
+			"status": string(types.TaskSuccess), "trace_id": traceID,
+		},
+	} {
+		got, err := logs.Records(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Errorf("%q records = %v, want one %v", msg, got, want)
+		}
 	}
 }

@@ -14,7 +14,6 @@ package store
 import (
 	"container/list"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -275,12 +274,15 @@ func (q *Queue) TryPopReliable() (data []byte, receipt uint64, ok bool) {
 // parked in the pending set until Ack(receipt) or RequeuePending
 // returns it to the queue.
 func (q *Queue) BPopReliable(timeout time.Duration) (data []byte, receipt uint64, err error) {
+	// The timer is armed by the first wait, not before the first look:
+	// a pop that finds an item pays for no timer.
+	var timer *time.Timer
 	var timerC <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timerC = timer.C
-	}
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for {
 		// The freeze lock is taken per-iteration, never across the
 		// wait below, so a blocked consumer cannot stall a snapshot.
@@ -314,6 +316,10 @@ func (q *Queue) BPopReliable(timeout time.Duration) (data []byte, receipt uint64
 		q.mu.Unlock()
 		if q.j != nil {
 			q.j.unlock()
+		}
+		if timer == nil && timeout > 0 {
+			timer = time.NewTimer(timeout)
+			timerC = timer.C
 		}
 
 		select {
@@ -581,4 +587,4 @@ func (s *Store) Close() {
 
 // TaskQueueName returns the conventional task queue name for an
 // endpoint id.
-func TaskQueueName(endpointID string) string { return fmt.Sprintf("tasks:%s", endpointID) }
+func TaskQueueName(endpointID string) string { return "tasks:" + endpointID }

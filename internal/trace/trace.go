@@ -14,7 +14,6 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -22,14 +21,28 @@ import (
 	"funcx/internal/types"
 )
 
-// fnv64a hashes a string with FNV-64a — the same hash trace sampling
-// uses, so id derivation and sampling stay keyed identically.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
+// fnvOffset is FNV-64a's initial state.
+const fnvOffset = 14695981039346656037
+
+// fnv64a folds s into the FNV-64a state h — the same hash trace
+// sampling uses, so id derivation and sampling stay keyed identically.
+// Hashing a prefix and then a key this way equals hashing the two
+// concatenated, without building that string.
+func fnv64a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
+}
+
+// putHex writes v into dst[:16] as %016x does: zero-padded lower-case
+// hex.
+func putHex(dst []byte, v uint64) {
+	const digits = "0123456789abcdef"
+	for i := 15; i >= 0; i-- {
+		dst[i] = digits[v&0xf]
+		v >>= 4
+	}
 }
 
 // TraceID derives the 16-byte OpenTelemetry trace id (32 hex chars)
@@ -42,22 +55,27 @@ func TraceID(id types.TaskID, dagID types.DAGID) string {
 	if dagID != "" {
 		key = string(dagID)
 	}
-	hi := fnv64a(key)
-	lo := fnv64a("trace\x00" + key)
+	hi := fnv64a(fnvOffset, key)
+	lo := fnv64a(fnv64a(fnvOffset, "trace\x00"), key)
 	if hi == 0 && lo == 0 {
 		lo = 1 // the all-zero trace id is invalid in OTLP
 	}
-	return fmt.Sprintf("%016x%016x", hi, lo)
+	var b [32]byte
+	putHex(b[:16], hi)
+	putHex(b[16:], lo)
+	return string(b[:])
 }
 
 // SpanID derives the 8-byte OpenTelemetry span id (16 hex chars) for a
 // named span within a task's trace.
 func SpanID(key string) string {
-	h := fnv64a("span\x00" + key)
+	h := fnv64a(fnv64a(fnvOffset, "span\x00"), key)
 	if h == 0 {
 		h = 1 // the all-zero span id is invalid in OTLP
 	}
-	return fmt.Sprintf("%016x", h)
+	var b [16]byte
+	putHex(b[:], h)
+	return string(b[:])
 }
 
 // Stage names one stamped point in a task's service-side timeline.

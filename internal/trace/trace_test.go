@@ -226,3 +226,42 @@ func TestNilCollectorIsNoop(t *testing.T) {
 		t.Fatal("nil collector returned histograms")
 	}
 }
+
+// TraceID and SpanID give the strings the fmt.Sprintf formulas they
+// replaced gave: an exported span's ids must not change with the build
+// that exports it.
+func TestTraceAndSpanIDGolden(t *testing.T) {
+	fnv := func(s string) uint64 {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+		return h
+	}
+	for _, c := range []struct {
+		id  types.TaskID
+		dag types.DAGID
+	}{
+		{"", ""},
+		{"t1", ""},
+		{"t1", "d1"},
+		{"4f1c2e9a-7b3d-4c8e-9a21-0d6f5b3e8c17", ""},
+		{"4f1c2e9a-7b3d-4c8e-9a21-0d6f5b3e8c17", "9c0e7d1b-2a4f-4e6b-8d3c-5f1a7e9b0c24"},
+		{"tâche-ü", ""},
+		{"x\x00y", ""},
+	} {
+		key := string(c.id)
+		if c.dag != "" {
+			key = string(c.dag)
+		}
+		want := fmt.Sprintf("%016x%016x", fnv(key), fnv("trace\x00"+key))
+		if got := TraceID(c.id, c.dag); got != want {
+			t.Errorf("TraceID(%q, %q) = %s, want %s", c.id, c.dag, got, want)
+		}
+		for _, span := range []string{key, key + "/queued", key + "/execute"} {
+			if got, want := SpanID(span), fmt.Sprintf("%016x", fnv("span\x00"+span)); got != want {
+				t.Errorf("SpanID(%q) = %s, want %s", span, got, want)
+			}
+		}
+	}
+}

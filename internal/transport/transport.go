@@ -166,29 +166,64 @@ type Listener interface {
 	Close() error
 }
 
-// Listen opens a listener. network is "tcp" (addr like "127.0.0.1:0")
-// or "inproc" (addr is any unique name; "" picks a fresh one).
-func Listen(network, addr string) (Listener, error) {
-	switch network {
-	case "tcp":
-		return listenTCP(addr)
-	case "inproc":
-		return listenInproc(addr)
-	default:
-		return nil, fmt.Errorf("transport: unknown network %q", network)
+// Network opens listeners and dials them.
+type Network struct {
+	Listen func(addr string) (Listener, error)
+	Dial   func(addr, identity string) (Conn, error)
+}
+
+// registered holds the networks Listen and Dial know by name: the two
+// built in, and any Register added.
+var registered = struct {
+	sync.Mutex
+	m map[string]Network
+}{m: map[string]Network{
+	"tcp":    {Listen: listenTCP, Dial: dialTCP},
+	"inproc": {Listen: listenInproc, Dial: dialInproc},
+}}
+
+// Register adds a network under a name no other network has, for
+// Listen and Dial to open by that name: a wrapper that controls
+// delivery for a test (internal/transport/transporttest) is selected
+// the way "tcp" and "inproc" are.
+func Register(name string, n Network) error {
+	registered.Lock()
+	defer registered.Unlock()
+	if _, ok := registered.m[name]; ok {
+		return fmt.Errorf("transport: network %q already registered", name)
 	}
+	registered.m[name] = n
+	return nil
+}
+
+func lookup(network string) (Network, error) {
+	registered.Lock()
+	defer registered.Unlock()
+	n, ok := registered.m[network]
+	if !ok {
+		return Network{}, fmt.Errorf("transport: unknown network %q", network)
+	}
+	return n, nil
+}
+
+// Listen opens a listener. network is "tcp" (addr like "127.0.0.1:0"),
+// "inproc" (addr is any unique name; "" picks a fresh one) or a
+// registered name.
+func Listen(network, addr string) (Listener, error) {
+	n, err := lookup(network)
+	if err != nil {
+		return nil, err
+	}
+	return n.Listen(addr)
 }
 
 // Dial connects to a listener, announcing identity.
 func Dial(network, addr, identity string) (Conn, error) {
-	switch network {
-	case "tcp":
-		return dialTCP(addr, identity)
-	case "inproc":
-		return dialInproc(addr, identity)
-	default:
-		return nil, fmt.Errorf("transport: unknown network %q", network)
+	n, err := lookup(network)
+	if err != nil {
+		return nil, err
 	}
+	return n.Dial(addr, identity)
 }
 
 // ---------------------------------------------------------------------------

@@ -265,3 +265,23 @@ func TestInprocDrainAfterClose(t *testing.T) {
 		t.Fatalf("Recv after close = %+v, %v (results sent before shutdown must not be lost)", got, err)
 	}
 }
+
+// A name is registered once: the built-in networks and an earlier
+// registration keep theirs, and an unknown name opens nothing.
+func TestRegisterRefusesTakenName(t *testing.T) {
+	inproc := Network{Listen: listenInproc, Dial: dialInproc}
+	for _, name := range networks {
+		if err := Register(name, inproc); err == nil {
+			t.Errorf("Register(%q) replaced a built-in network", name)
+		}
+	}
+	if err := Register("test-register-once", inproc); err != nil {
+		t.Fatal(err)
+	}
+	if err := Register("test-register-once", inproc); err == nil {
+		t.Error("a second Register of one name succeeded")
+	}
+	if _, err := Listen("test-register-never", ""); err == nil {
+		t.Error("Listen on an unregistered network succeeded")
+	}
+}

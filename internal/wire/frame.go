@@ -359,42 +359,27 @@ func EncodeResult(r *types.Result) []byte {
 // appear or go (a zero Timing is not written, so a result that had
 // none gains the section with its first stamp) is a re-encode.
 func RestampResult(frame []byte, r *types.Result) []byte {
-	if !patchStamps(frame, r) {
+	var deltas types.TraceDeltas
+	if r.Trace != nil {
+		deltas = *r.Trace
+	}
+	if f, err := openResult(frame); err != nil || !f.putStamps(r.Timing, deltas, r.Trace != nil) {
 		return EncodeResult(r)
 	}
 	return frame
 }
 
-// patchStamps writes r's stamps over the ones in frame, if frame holds
-// exactly the sections r's encoding has.
-func patchStamps(frame []byte, r *types.Result) bool {
-	header, _, err := openFrame(frame, formatResult)
-	if err != nil {
+// putStamps writes the stamps over the ones in the frame f was opened
+// from, if it holds exactly the sections they encode to.
+func (f *resultFields) putStamps(t types.Timing, d types.TraceDeltas, traced bool) bool {
+	if (f.timing != nil) != (t != types.Timing{}) || (f.deltas != nil) != traced {
 		return false
 	}
-	var timing, deltas []byte
-	for off := 0; off < len(header); {
-		tag, lo, hi, err := nextField(header, off)
-		if err != nil {
-			return false
-		}
-		switch resultTag(tag) {
-		case tagResultTiming:
-			timing = header[lo:hi]
-		case tagResultTrace:
-			deltas = header[lo:hi]
-		}
-		off = hi
+	if f.timing != nil {
+		putFixed(f.timing, int64(t.TS), int64(t.TF), int64(t.TE), int64(t.TW))
 	}
-	hasTiming, hasTrace := r.Timing != (types.Timing{}), r.Trace != nil
-	if (len(timing) == 4*8) != hasTiming || (len(deltas) == 3*8) != hasTrace {
-		return false
-	}
-	if hasTiming {
-		putFixed(timing, int64(r.Timing.TS), int64(r.Timing.TF), int64(r.Timing.TE), int64(r.Timing.TW))
-	}
-	if hasTrace {
-		putFixed(deltas, int64(r.Trace.Exec), int64(r.Trace.ManagerQueue), int64(r.Trace.AgentQueue))
+	if f.deltas != nil {
+		putFixed(f.deltas, int64(d.Exec), int64(d.ManagerQueue), int64(d.AgentQueue))
 	}
 	return true
 }
@@ -532,17 +517,6 @@ func ints(tag byte, v []byte, dst ...*int64) error {
 	}
 	if len(v) != 0 {
 		return fmt.Errorf("%w: field %d: %d trailing bytes", errFrame, tag, len(v))
-	}
-	return nil
-}
-
-// fixed reads exactly len(dst) big-endian int64s filling v.
-func fixed(tag byte, v []byte, dst ...*int64) error {
-	if len(v) != 8*len(dst) {
-		return fmt.Errorf("%w: field %d: %d bytes, want %d", errFrame, tag, len(v), 8*len(dst))
-	}
-	for i, d := range dst {
-		*d = int64(binary.BigEndian.Uint64(v[8*i:]))
 	}
 	return nil
 }
@@ -779,54 +753,160 @@ func DecodeResult(data []byte) (*types.Result, error) {
 	return r, nil
 }
 
-func decodeResult(data []byte) (*types.Result, error) {
+// resultFields is a result frame opened in place: one walk over its
+// header that checks every field and leaves each value where it lies.
+// The decoder, the in-place reader and the stamp writer all start
+// here, so a result header has one parser.
+type resultFields struct {
+	body            []byte
+	id, err, worker []byte
+	completed       time.Time
+	flags           byte
+	// timing and deltas are the fixed-width stamp sections, nil when
+	// the frame has none.
+	timing, deltas []byte
+}
+
+func openResult(data []byte) (resultFields, error) {
+	var f resultFields
 	header, body, err := openFrame(data, formatResult)
 	if err != nil {
-		return nil, err
+		return f, err
 	}
-	r := &types.Result{Output: body}
+	f.body = body
 	for off := 0; off < len(header); {
 		tag, lo, hi, err := nextField(header, off)
 		if err != nil {
-			return nil, err
+			return f, err
 		}
-		// Each string is its own copy: the task id becomes a key of
-		// the results hash and the event ring and must not pin the
-		// rest of the header for as long as they keep it.
 		v := header[lo:hi]
 		off = hi
 		//funcx:exhaustive funcx/internal/wire.resultTag
 		switch resultTag(tag) {
 		case tagResultTaskID:
-			r.TaskID = types.TaskID(v)
+			f.id = v
 		case tagResultErr:
-			r.Err = string(v)
+			f.err = v
 		case tagResultCompleted:
-			r.Completed, err = timeOf(tag, v)
+			f.completed, err = timeOf(tag, v)
 		case tagResultTiming:
-			var ts, tf, te, tw int64
-			err = fixed(tag, v, &ts, &tf, &te, &tw)
-			r.Timing = types.Timing{TS: time.Duration(ts), TF: time.Duration(tf), TE: time.Duration(te), TW: time.Duration(tw)}
+			f.timing, err = fixedSection(tag, v, 4)
 		case tagResultWorker:
-			r.WorkerID = types.WorkerID(v)
+			f.worker = v
 		case tagResultFlags:
-			flags, err := flagsOf(tag, v, resultMemoized|resultLost)
-			if err != nil {
-				return nil, err
-			}
-			r.Memoized, r.Lost = flags&resultMemoized != 0, flags&resultLost != 0
+			f.flags, err = flagsOf(tag, v, resultMemoized|resultLost)
 		case tagResultTrace:
-			var exec, mq, aq int64
-			err = fixed(tag, v, &exec, &mq, &aq)
-			r.Trace = &types.TraceDeltas{Exec: time.Duration(exec), ManagerQueue: time.Duration(mq), AgentQueue: time.Duration(aq)}
+			f.deltas, err = fixedSection(tag, v, 3)
 		default:
-			return nil, fmt.Errorf("%w: unknown result field %d", errFrame, tag)
+			return f, fmt.Errorf("%w: unknown result field %d", errFrame, tag)
 		}
 		if err != nil {
-			return nil, err
+			return f, err
 		}
 	}
-	return r, nil
+	return f, nil
+}
+
+// fixedSection checks that v holds exactly n fixed-width int64s.
+func fixedSection(tag byte, v []byte, n int) ([]byte, error) {
+	if len(v) != 8*n {
+		return nil, fmt.Errorf("%w: field %d: %d bytes, want %d", errFrame, tag, len(v), 8*n)
+	}
+	return v, nil
+}
+
+// getFixed reads the i-th int64 of a fixed-width section.
+func getFixed(v []byte, i int) time.Duration {
+	return time.Duration(binary.BigEndian.Uint64(v[8*i:]))
+}
+
+// stamps reads the stamp sections; an absent one reads as zero.
+func (f *resultFields) stamps() (types.Timing, types.TraceDeltas) {
+	var t types.Timing
+	var d types.TraceDeltas
+	if f.timing != nil {
+		t = types.Timing{TS: getFixed(f.timing, 0), TF: getFixed(f.timing, 1), TE: getFixed(f.timing, 2), TW: getFixed(f.timing, 3)}
+	}
+	if f.deltas != nil {
+		d = types.TraceDeltas{Exec: getFixed(f.deltas, 0), ManagerQueue: getFixed(f.deltas, 1), AgentQueue: getFixed(f.deltas, 2)}
+	}
+	return t, d
+}
+
+func decodeResult(data []byte) (*types.Result, error) {
+	f, err := openResult(data)
+	if err != nil {
+		return nil, err
+	}
+	return f.result(), nil
+}
+
+// result is the decoded result. Each string is its own copy: the task
+// id becomes a key of the results hash and the event ring and must not
+// pin the rest of the header for as long as they keep it.
+func (f *resultFields) result() *types.Result {
+	r := &types.Result{
+		TaskID:    types.TaskID(f.id),
+		Output:    f.body,
+		Err:       string(f.err),
+		Completed: f.completed,
+		WorkerID:  types.WorkerID(f.worker),
+		Memoized:  f.flags&resultMemoized != 0,
+		Lost:      f.flags&resultLost != 0,
+	}
+	timing, deltas := f.stamps()
+	r.Timing = timing
+	if f.deltas != nil {
+		r.Trace = new(types.TraceDeltas)
+		*r.Trace = deltas
+	}
+	return r
+}
+
+// ResultView is a result frame read in place: its task id and stamps,
+// which are all a hop between the manager and the service reads of a
+// result. TaskID aliases the frame. A hop changes Timing and the values
+// of Trace, then forwards Restamp's bytes.
+type ResultView struct {
+	TaskID []byte
+	// Failed says the result carries an error.
+	Failed bool
+	Timing types.Timing
+	// Trace holds the trace deltas when Traced; a frame without them
+	// has Traced false and gains none.
+	Trace  types.TraceDeltas
+	Traced bool
+
+	frame  []byte
+	fields resultFields
+}
+
+// ViewResult reads a result frame in place, allocating nothing. It
+// accepts exactly the frames DecodeResult accepts.
+func ViewResult(frame []byte) (ResultView, error) {
+	f, err := openResult(frame)
+	if err != nil {
+		return ResultView{}, fmt.Errorf("wire: decoding result: %w", err)
+	}
+	v := ResultView{TaskID: f.id, Failed: len(f.err) > 0, Traced: f.deltas != nil, frame: frame, fields: f}
+	v.Timing, v.Trace = f.stamps()
+	return v, nil
+}
+
+// Restamp returns the viewed frame with v's stamps: RestampResult's
+// bytes for the decoded result carrying them. They are written where
+// they lie, and only a stamp section that has to appear or go takes a
+// decode and a re-encode. The caller must be the frame's only holder.
+func (v *ResultView) Restamp() []byte {
+	if v.fields.putStamps(v.Timing, v.Trace, v.Traced) {
+		return v.frame
+	}
+	r := v.fields.result()
+	r.Timing = v.Timing
+	if v.Traced {
+		*r.Trace = v.Trace
+	}
+	return EncodeResult(r)
 }
 
 // DecodeCapacity unframes a capacity advertisement.
@@ -899,35 +979,56 @@ func DecodeTaskStart(data []byte) (*TaskStart, error) {
 	return s, nil
 }
 
+// TaskStartID reads the task id of an execution-start frame in place:
+// the id aliases data, and nothing is allocated. It accepts exactly the
+// frames DecodeTaskStart accepts.
+func TaskStartID(data []byte) ([]byte, error) {
+	f, err := openTaskStart(data)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding task start: %w", err)
+	}
+	return f.id, nil
+}
+
 func decodeTaskStart(data []byte) (*TaskStart, error) {
-	header, err := openHeaderFrame(data, formatTaskStart)
+	f, err := openTaskStart(data)
 	if err != nil {
 		return nil, err
 	}
-	ts := &TaskStart{}
-	// One copy of the header backs all three ids: the signal is dropped
-	// once the forwarder has re-armed the lease and told the service.
-	strs := string(header)
+	return &TaskStart{TaskID: types.TaskID(f.id), WorkerID: types.WorkerID(f.worker), ManagerID: types.ManagerID(f.manager)}, nil
+}
+
+// taskStartFields is an execution-start frame opened in place.
+type taskStartFields struct {
+	id, worker, manager []byte
+}
+
+func openTaskStart(data []byte) (taskStartFields, error) {
+	var f taskStartFields
+	header, err := openHeaderFrame(data, formatTaskStart)
+	if err != nil {
+		return f, err
+	}
 	for off := 0; off < len(header); {
 		tag, lo, hi, err := nextField(header, off)
 		if err != nil {
-			return nil, err
+			return f, err
 		}
-		s := strs[lo:hi]
+		v := header[lo:hi]
 		off = hi
 		//funcx:exhaustive funcx/internal/wire.taskStartTag
 		switch taskStartTag(tag) {
 		case tagTaskStartTaskID:
-			ts.TaskID = types.TaskID(s)
+			f.id = v
 		case tagTaskStartWorker:
-			ts.WorkerID = types.WorkerID(s)
+			f.worker = v
 		case tagTaskStartManager:
-			ts.ManagerID = types.ManagerID(s)
+			f.manager = v
 		default:
-			return nil, fmt.Errorf("%w: unknown task start field %d", errFrame, tag)
+			return f, fmt.Errorf("%w: unknown task start field %d", errFrame, tag)
 		}
 	}
-	return ts, nil
+	return f, nil
 }
 
 // DecodeEventFrame unframes a task lifecycle event. The returned

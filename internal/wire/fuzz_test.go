@@ -228,6 +228,27 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("forwarding %q as its views' frames made %q", canon, joined)
 			}
 		}
+		// The in-place readers read what the decoders read, and refuse
+		// what they refuse.
+		res, err := DecodeResult(data)
+		if v, verr := ViewResult(data); (err == nil) != (verr == nil) {
+			t.Fatalf("ViewResult(%q) error %v; DecodeResult's %v", data, verr, err)
+		} else if err == nil {
+			var deltas types.TraceDeltas
+			if res.Trace != nil {
+				deltas = *res.Trace
+			}
+			if string(v.TaskID) != string(res.TaskID) || v.Failed != res.Failed() || v.Timing != res.Timing ||
+				v.Traced != (res.Trace != nil) || v.Trace != deltas {
+				t.Fatalf("ViewResult(%q) = %+v; DecodeResult says %+v", data, v, res)
+			}
+		}
+		start, err := DecodeTaskStart(data)
+		if id, ierr := TaskStartID(data); (err == nil) != (ierr == nil) {
+			t.Fatalf("TaskStartID(%q) error %v; DecodeTaskStart's %v", data, ierr, err)
+		} else if err == nil && string(id) != string(start.TaskID) {
+			t.Fatalf("TaskStartID(%q) = %q; DecodeTaskStart says %q", data, id, start.TaskID)
+		}
 		// The stream reader takes the same bytes as a stream: one whole
 		// event frame reads as it decodes, and any input ends in an
 		// error after fewer frames than it has bytes.
@@ -284,6 +305,11 @@ func FuzzRestamp(f *testing.F) {
 				t.Fatalf("DecodeResult rejected EncodeResult's %q: %v", frame, err)
 			}
 			output := bytes.Clone(r.Output)
+			unstamped := *r
+			if r.Trace != nil {
+				deltas := *r.Trace
+				unstamped.Trace = &deltas
+			}
 			r.Timing = types.Timing{TS: time.Duration(a), TF: time.Duration(b), TE: time.Duration(c), TW: time.Duration(d)}
 			if r.Trace != nil {
 				*r.Trace = types.TraceDeltas{Exec: time.Duration(d), ManagerQueue: time.Duration(c), AgentQueue: time.Duration(b)}
@@ -297,6 +323,19 @@ func FuzzRestamp(f *testing.F) {
 			}
 			if inPlace, can := &out[0] == &frame[0], hadTiming == (r.Timing != (types.Timing{})); inPlace != can {
 				t.Fatalf("RestampResult of %q in place: %v, want %v", frame, inPlace, can)
+			}
+			// The same stamps through the in-place reader: the same bytes.
+			buf, frame = guarded(EncodeResult(&unstamped))
+			v, err := ViewResult(frame)
+			if err != nil {
+				t.Fatalf("ViewResult rejected EncodeResult's %q: %v", frame, err)
+			}
+			v.Timing = r.Timing
+			if v.Traced {
+				v.Trace = *r.Trace
+			}
+			if out := v.Restamp(); !bytes.Equal(out, EncodeResult(r)) || !guardsIntact(buf, frame) {
+				t.Fatalf("ResultView.Restamp of %q = %q, want EncodeResult's %q", frame, out, EncodeResult(r))
 			}
 		}
 		if sub, err := DecodeTask(data); err == nil {

@@ -44,7 +44,10 @@
 //
 // so a hop that holds the only reference to a result frame stamps it by
 // overwriting those bytes (RestampResult) and sends the frame it
-// received. A task frame is never rewritten once queued — the store and
+// received. A hop that reads nothing of a result but its task id and
+// stamps (the agent) reads them in place (ViewResult) and decodes
+// nothing; the forwarder reads a running signal's task id the same way
+// (TaskStartID). A task frame is never rewritten once queued — the store and
 // every hop share its bytes — and a hop keeps it beside its decoded
 // header as a TaskView to send it on as it came; the one field a hop
 // changes, the agent's attempt count after a manager loss, is a new
